@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -23,25 +24,51 @@ struct EventHandle {
   explicit operator bool() const { return id != 0; }
 };
 
-/// Min-heap of timestamped callbacks with stable FIFO ordering among
+/// Priority queue of timestamped callbacks with stable FIFO ordering among
 /// events scheduled for the same instant (ties break by insertion order,
 /// which keeps simulations deterministic for a fixed seed).
 ///
-/// Internals are built for the simulation's steady-state churn (pop one
-/// event, schedule its successor, ~1.5M times per run):
-///  * the heap holds 24-byte (time, seq, slot) keys in a 4-ary layout and
-///    sifts by hole insertion — one element move per level instead of a
-///    three-move swap — so a sift touches few cache lines and never moves
-///    callbacks;
-///  * callbacks live in a slot table addressed by the heap entries; slots
-///    are recycled via a free list, so memory is bounded by the maximum
-///    number of *live* events, not by the total ever scheduled;
-///  * callbacks are SBO `InlineCallback`s: scheduling a kernel-sized
-///    capture performs zero heap allocations once the vectors reach
-///    steady-state capacity.
+/// Built for the simulation's steady-state churn (pop one event, schedule
+/// its successor) with up to ~10^5 events pending, where a single heap
+/// over every event misses cache on each sift level. The queue has two
+/// tiers:
+///  * a **bucket tier**: an *epoch* splits [start, start + span) into
+///    equal-width time buckets, and events past the epoch's end wait in an
+///    unsorted *far* list. Buckets and the far list are intrusive doubly
+///    linked lists threaded through the slot table, so a schedule is O(1)
+///    and touches one list head;
+///  * an **open-bucket heap**: a 4-ary hole-sift heap of 24-byte
+///    (time, seq, slot) keys holding only the events of the bucket that is
+///    open now — a few entries in steady state. When it empties, the next
+///    non-empty bucket is moved into it; when every bucket is used up, a
+///    new epoch is built from the far list.
 ///
-/// cancel() removes the event from the heap eagerly (O(log n)), so the heap
-/// only ever contains live events and pop() never skips.
+/// Order: within an epoch, an event's bucket position
+/// d = (t - start) / width is monotone in t and decides its tier, so every
+/// event in the heap is strictly earlier than every event in a later
+/// bucket, and those are strictly earlier than every far event; equal
+/// timestamps always share a tier. The heap orders by (time, seq), so the
+/// firing order is exactly (time, seq), whatever the bucket width.
+///
+/// Epoch rule (derived, no tuning knob): the new epoch starts at the far
+/// list's earliest time and spans twice the mean distance from that
+/// start, taken over the far events within twice the plain mean; it has
+/// one bucket per kEventsPerBucket of those events. Using a mean rather than the max,
+/// and trimming it, keeps a few far-future outliers from piling the near
+/// events into one bucket. By Markov's inequality at least a quarter of
+/// the far events land in buckets, so each event is rescanned O(1) times
+/// amortised. After the queue runs empty, schedules wait in the far list
+/// until the next pop, so an epoch is sized from every event scheduled
+/// before it, not only the first.
+///
+/// Callbacks live in a slot table recycled through a free list, so memory
+/// is bounded by the maximum number of *live* events; callbacks are SBO
+/// `InlineCallback`s, so scheduling a kernel-sized capture performs zero
+/// heap allocations once the vectors reach reserve()d capacity.
+///
+/// cancel() removes the event eagerly — an O(1) unlink from a bucket or
+/// the far list, an O(log n) removal from the heap — so the queue only
+/// ever holds live events and pop() never skips.
 class EventQueue {
  public:
   using Callback = InlineCallback;
@@ -54,10 +81,10 @@ class EventQueue {
   bool cancel(EventHandle h);
 
   /// True if no live events remain.
-  bool empty() const { return heap_.empty(); }
+  bool empty() const { return size_ == 0; }
 
   /// Number of live (non-cancelled, not yet fired) events.
-  std::size_t size() const { return heap_.size(); }
+  std::size_t size() const { return size_; }
 
   /// Timestamp of the earliest live event. Precondition: !empty().
   SimTime next_time() const;
@@ -65,8 +92,9 @@ class EventQueue {
   /// Removes and returns the earliest live event. Precondition: !empty().
   std::pair<SimTime, Callback> pop();
 
-  /// Pre-sizes the heap and slot table for `n` concurrent events so the
-  /// first n schedules allocate nothing.
+  /// Pre-sizes the heap, slot table and bucket array for `n` concurrent
+  /// events so that schedules, pops and epoch rebuilds with at most n
+  /// events pending allocate nothing.
   void reserve(std::size_t n);
 
   // ---- Kernel health (always-on, trivially cheap) ----
@@ -77,6 +105,8 @@ class EventQueue {
   std::uint64_t cancels() const { return cancels_; }
 
  private:
+  friend struct EventQueueTestPeer;  // tests/event_queue_peer.h
+
   // Heap entries carry only the ordering key plus the slot index; the
   // callback never moves during sifts.
   struct HeapItem {
@@ -87,9 +117,25 @@ class EventQueue {
 
   struct Slot {
     Callback cb;
-    std::uint32_t gen = 1;  // bumped on every release; 0 is never used
-    std::uint32_t heap_pos = kFreePos;
+    SimTime time = 0.0;
+    std::uint64_t seq = 0;
+    std::uint32_t gen = 1;         // bumped on every release; 0 is never used
+    std::uint32_t pos = kFreePos;  // heap index, kInBucket, kInFar or kFreePos
+    // List links while in a bucket or the far list. A list's first slot has
+    // prev == kHeadTag | list, where list is a bucket index or kFarList.
+    std::uint32_t prev = kNil;
+    std::uint32_t next = kNil;
   };
+  static_assert(sizeof(Slot) <= 128, "keep a slot within 128 bytes");
+
+  static constexpr std::uint32_t kFreePos = static_cast<std::uint32_t>(-1);
+  static constexpr std::uint32_t kInBucket = kFreePos - 1;
+  static constexpr std::uint32_t kInFar = kFreePos - 2;
+  static constexpr std::uint32_t kNil = static_cast<std::uint32_t>(-1);
+  static constexpr std::uint32_t kHeadTag = 0x80000000u;
+  static constexpr std::uint32_t kFarList = kHeadTag - 1;
+  // Events per bucket when an epoch starts.
+  static constexpr std::size_t kEventsPerBucket = 2;
 
   // Heap ordering: earliest time first, then earliest seq.
   static bool later(const HeapItem& a, const HeapItem& b) {
@@ -99,6 +145,25 @@ class EventQueue {
 
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
+
+  // Tiers.
+  void place(std::uint32_t slot);
+  void link(std::uint32_t slot, std::uint32_t list);
+  void unlink(std::uint32_t slot);
+  std::uint32_t& head_of(std::uint32_t list) {
+    return list == kFarList ? far_head_ : buckets_[list];
+  }
+  std::uint32_t take_far();  // detaches the far list, returns its head
+  SimTime far_min() const;
+  // Calls f(slot) on each of the `count` far slots: along the list from
+  // `head`, or by scanning the slot table when most slots are far.
+  template <typename F>
+  void for_each_far(std::uint32_t head, std::size_t count, F&& f) const;
+  void refill();
+  void start_epoch();
+
+  // Open-bucket heap.
+  void heap_push(std::uint32_t slot);
   void remove_at(std::size_t pos);
   void sift_up_hole(std::size_t hole, const HeapItem& item);
   void sift_down_hole(std::size_t hole, const HeapItem& item);
@@ -107,10 +172,28 @@ class EventQueue {
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_seq_ = 1;
+  std::size_t size_ = 0;
   std::size_t peak_size_ = 0;
   std::uint64_t cancels_ = 0;
 
-  static constexpr std::uint32_t kFreePos = static_cast<std::uint32_t>(-1);
+  // Epoch: bucket of time t is floor(d), d = (t - epoch_start_) * inv_width_.
+  // d < open_limit_ goes to the heap, d >= epoch_limit_ to the far list.
+  std::vector<std::uint32_t> buckets_;  // list heads
+  std::size_t next_bucket_ = 0;         // first bucket not yet opened
+  SimTime epoch_start_ = 0.0;
+  double inv_width_ = 1.0;
+  double open_limit_ = 0.0;
+  double epoch_limit_ = 0.0;
+  std::uint64_t epochs_ = 0;  // epochs started, for tests
+
+  // Far list, with its count, time sum and earliest time for the next
+  // epoch. A cancel can leave far_min_ below the true minimum; far_min()
+  // then recomputes it.
+  std::uint32_t far_head_ = kNil;
+  std::size_t far_count_ = 0;
+  double far_sum_ = 0.0;
+  mutable SimTime far_min_ = std::numeric_limits<SimTime>::infinity();
+  mutable bool far_min_stale_ = false;
 };
 
 }  // namespace adattl::sim

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 namespace adattl::sim {
@@ -114,6 +115,23 @@ TEST(EventQueue, ManyInterleavedScheduleCancelPop) {
     ++popped;
   }
   EXPECT_EQ(popped, 1000u - cancelled);
+}
+
+TEST(EventQueue, InfiniteTimesFireLastInInsertionOrder) {
+  // Simulator::at accepts +inf; such events fit no bucket of any epoch.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EventQueue q;
+  std::vector<int> fired;
+  q.schedule(kInf, [&] { fired.push_back(2); });
+  q.schedule(kInf, [&] { fired.push_back(3); });
+  q.schedule(5.0, [&] { fired.push_back(0); });
+  auto [t, cb] = q.pop();
+  EXPECT_DOUBLE_EQ(t, 5.0);
+  cb();
+  q.schedule(kInf, [&] { fired.push_back(4); });
+  q.schedule(6.0, [&] { fired.push_back(1); });
+  while (!q.empty()) q.pop().second();
+  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
 TEST(EventQueue, HandlesAreDistinct) {

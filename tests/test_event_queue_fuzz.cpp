@@ -1,13 +1,16 @@
-// Differential fuzzing of the indexed-heap EventQueue against a trivially
+// Differential fuzzing of the two-tier EventQueue against a trivially
 // correct reference implementation (std::multimap ordered by (time, seq)).
 // Random interleavings of schedule / cancel / pop must produce identical
 // event sequences — this is the backbone the whole simulation's
 // determinism rests on.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
 #include <optional>
+#include <set>
 
+#include "event_queue_peer.h"
 #include "sim/event_queue.h"
 #include "sim/random.h"
 
@@ -155,6 +158,16 @@ class SortedVectorOracle {
   std::size_t size() const { return live_.size(); }
 
   std::pair<double, int> pop() {
+    const auto best = earliest();
+    const std::pair<double, int> out = *best;
+    live_.erase(best);
+    return out;
+  }
+
+  double next_time() const { return earliest()->first; }
+
+ private:
+  std::vector<std::pair<double, int>>::const_iterator earliest() const {
     auto best = live_.begin();
     for (auto it = live_.begin(); it != live_.end(); ++it) {
       if (it->first < best->first ||
@@ -162,12 +175,9 @@ class SortedVectorOracle {
         best = it;
       }
     }
-    const std::pair<double, int> out = *best;
-    live_.erase(best);
-    return out;
+    return best;
   }
 
- private:
   std::vector<std::pair<double, int>> live_;
 };
 
@@ -242,6 +252,125 @@ TEST_P(EventQueueRecycleFuzz, HandleReuseMatchesNaiveOracle) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueRecycleFuzz,
                          ::testing::Values(2u, 7u, 19u, 101u));
+
+using Tier = EventQueueTestPeer::Tier;
+
+class EventQueueTierFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+// Drives every tier of the queue — open-bucket heap, time buckets and the
+// far list — and every move between them against the naive oracle. Growth
+// and drain phases alternate so epochs are rebuilt from far lists of many
+// sizes; anchor timestamps collect events placed while their instant was
+// far, bucketed and open, so one tie spans several tiers; schedules at
+// `now` land beside the open bucket; 1e9 outliers sit behind dense
+// half-second ties; and every handle ever issued stays cancellable, so
+// stale cancels cross epoch rebuilds. next_time() is checked after every
+// operation. The test also asserts that each of these cases occurred.
+TEST_P(EventQueueTierFuzz, EveryTierMatchesNaiveOracle) {
+  RngStream rng(GetParam());
+  EventQueue dut;
+  SortedVectorOracle ref;
+
+  std::vector<EventHandle> handles;         // every handle ever issued, by tag
+  std::vector<std::uint64_t> issue_epoch;   // epochs started before the schedule
+  std::vector<bool> ref_live;
+  std::vector<int> popped_tags;
+  std::map<double, std::set<Tier>> placed;  // tiers each instant's events entered
+  std::vector<double> anchors;
+  std::array<int, 4> cancels_in{};          // live cancels, by tier
+  int stale_across_epoch = 0;
+  int at_now_beside_open = 0;
+  int outliers_far = 0;
+  double clock = 0.0;
+
+  const auto schedule = [&](double t) {
+    const int tag = static_cast<int>(handles.size());
+    const bool open = !dut.empty();
+    issue_epoch.push_back(EventQueueTestPeer::epochs(dut));
+    handles.push_back(dut.schedule(t, [tag, &popped_tags] { popped_tags.push_back(tag); }));
+    ref.schedule(t, tag);
+    ref_live.push_back(true);
+    const Tier tier = EventQueueTestPeer::tier(dut, handles.back());
+    placed[t].insert(tier);
+    if (t == clock && open && tier == Tier::kHeap) ++at_now_beside_open;
+    if (t >= clock + 1e9 && tier == Tier::kFar) ++outliers_far;
+  };
+
+  const auto pop_and_check = [&](int step) {
+    const auto [ref_t, ref_tag] = ref.pop();
+    ref_live[static_cast<std::size_t>(ref_tag)] = false;
+    auto [t, cb] = dut.pop();
+    ASSERT_EQ(t, ref_t) << "step " << step;
+    clock = t;
+    cb();
+    ASSERT_EQ(popped_tags.back(), ref_tag) << "identity mismatch at step " << step;
+  };
+
+  for (int step = 0; step < 40000; ++step) {
+    // Every 5000 steps the queue runs empty and then only takes schedules
+    // and cancels for a while, as a simulation's set-up does. Between
+    // those, growth (few pops) and drain (many pops) phases alternate.
+    if (step % 5000 == 0) {
+      while (!ref.empty()) ASSERT_NO_FATAL_FAILURE(pop_and_check(step));
+      ASSERT_TRUE(dut.empty());
+    }
+    const double pop_share = step % 5000 < 300 ? 0.0 : (step / 2500) % 2 == 0 ? 0.25 : 0.55;
+    const double roll = rng.next_double();
+    if (roll < 0.26) {
+      schedule(clock + 0.5 * std::floor(rng.uniform(0.0, 64.0)));  // dense ties
+    } else if (roll < 0.30) {
+      schedule(clock);
+    } else if (roll < 0.36) {
+      std::erase_if(anchors, [clock](double a) { return a < clock; });
+      if (anchors.empty() || rng.next_double() < 0.1) {
+        anchors.push_back(clock + std::floor(rng.uniform(8.0, 120.0)));
+      }
+      schedule(anchors[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(anchors.size()) - 1))]);
+    } else if (roll < 0.37) {
+      schedule(clock + 1e9 + std::floor(rng.uniform(0.0, 3.0)));
+    } else if (roll < 0.45 && !handles.empty()) {
+      const auto idx = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(handles.size()) - 1));
+      const Tier tier = EventQueueTestPeer::tier(dut, handles[idx]);
+      const bool dut_ok = dut.cancel(handles[idx]);
+      bool ref_ok = false;
+      if (ref_live[idx]) {
+        ref_ok = ref.cancel(static_cast<int>(idx));
+        ref_live[idx] = false;
+      }
+      ASSERT_EQ(dut_ok, ref_ok) << "cancel disagreement at step " << step;
+      if (dut_ok) ++cancels_in[static_cast<std::size_t>(tier)];
+      if (!dut_ok && issue_epoch[idx] < EventQueueTestPeer::epochs(dut)) ++stale_across_epoch;
+    } else if (roll < 0.45 + pop_share && !ref.empty()) {
+      ASSERT_NO_FATAL_FAILURE(pop_and_check(step));
+    }
+    ASSERT_EQ(dut.size(), ref.size()) << "step " << step;
+    ASSERT_EQ(dut.empty(), ref.empty()) << "step " << step;
+    if (!ref.empty()) {
+      ASSERT_EQ(dut.next_time(), ref.next_time()) << "step " << step;
+    }
+  }
+
+  while (!ref.empty()) ASSERT_NO_FATAL_FAILURE(pop_and_check(-1));
+  EXPECT_TRUE(dut.empty());
+  for (EventHandle h : handles) EXPECT_FALSE(dut.cancel(h));
+
+  // Coverage: the cases above really happened.
+  EXPECT_GT(EventQueueTestPeer::epochs(dut), 20u);
+  EXPECT_GT(cancels_in[static_cast<std::size_t>(Tier::kHeap)], 0);
+  EXPECT_GT(cancels_in[static_cast<std::size_t>(Tier::kBucket)], 0);
+  EXPECT_GT(cancels_in[static_cast<std::size_t>(Tier::kFar)], 0);
+  EXPECT_GT(stale_across_epoch, 0);
+  EXPECT_GT(at_now_beside_open, 0);
+  EXPECT_GT(outliers_far, 0);
+  int split_ties = 0;
+  for (const auto& [t, tiers] : placed) split_ties += tiers.size() > 1 ? 1 : 0;
+  EXPECT_GT(split_ties, 0) << "no instant had events placed in two tiers";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueTierFuzz,
+                         ::testing::Values(3u, 17u, 29u, 64u, 211u));
 
 TEST(EventQueueHandles, StaleHandleAfterSlotRecycleIsIgnored) {
   EventQueue q;

@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "event_queue_peer.h"
 #include "obs/event_tracer.h"
 #include "obs/metrics.h"
 #include "sim/event_queue.h"
@@ -77,6 +78,45 @@ TEST(KernelAlloc, SteadyStateChurnAllocatesNothing) {
 
   EXPECT_EQ(during, 0u) << "steady-state schedule/pop churn must not allocate";
   EXPECT_EQ(fired, static_cast<std::uint64_t>(kResident + kChurnEvents));
+}
+
+// A 10k-resident hold model — pop, then schedule an exponential
+// successor — measured from just after reserve(), through the initial
+// schedules and several epoch rebuilds of the bucket tier. With
+// `outlier`, one event at t = 1e9 stays in the far list throughout.
+void expect_reserved_hold_model_allocates_nothing(bool outlier) {
+  constexpr int kResident = 10000;
+  constexpr int kChurnEvents = 200000;
+
+  EventQueue q;
+  q.reserve(kResident + 1);
+  RngStream rng(13);
+  std::uint64_t fired = 0;
+
+  const std::uint64_t before = allocations();
+  if (outlier) q.schedule(1e9, [&fired] { ++fired; });
+  for (int i = 0; i < kResident; ++i) {
+    q.schedule(rng.uniform(0.0, 30.0), [&fired] { ++fired; });
+  }
+  for (int i = 0; i < kChurnEvents; ++i) {
+    auto [t, cb] = q.pop();
+    cb();
+    q.schedule(t + rng.exponential(15.0), [&fired] { ++fired; });
+  }
+  const std::uint64_t during = allocations() - before;
+
+  EXPECT_EQ(during, 0u) << "a reserved queue must not allocate, epoch rebuilds included";
+  EXPECT_GE(EventQueueTestPeer::epochs(q), 5u) << "the churn must cross several epochs";
+  EXPECT_EQ(fired, static_cast<std::uint64_t>(kChurnEvents));
+  EXPECT_EQ(q.size(), static_cast<std::size_t>(kResident + (outlier ? 1 : 0)));
+}
+
+TEST(KernelAlloc, ReservedHoldModelAcrossEpochsAllocatesNothing) {
+  expect_reserved_hold_model_allocates_nothing(false);
+}
+
+TEST(KernelAlloc, ReservedHoldModelWithFarOutlierAllocatesNothing) {
+  expect_reserved_hold_model_allocates_nothing(true);
 }
 
 TEST(KernelAlloc, CancelChurnAllocatesNothing) {

@@ -23,14 +23,16 @@ fi
 
 BUILD_DIR="${1:-$([[ ${RELEASE} -eq 1 ]] && echo build-release || echo build)}"
 OUT="${2:-BENCH_kernel.json}"
-FILTER='BM_SchedulePop|BM_SteadyStateChurn|BM_CancelHeavy|BM_FullSite'
+# BM_SteadyStateChurn runs 500..1M residents; BM_SteadyStateChurnOutlier
+# adds one event at t = 1e9 to the same hold model.
+FILTER='BM_SchedulePop|BM_SteadyStateChurn|BM_SteadyStateChurnOutlier|BM_CancelHeavy|BM_FullSite'
 
 if [[ ${RELEASE} -eq 1 ]]; then
   echo "configuring Release tree in ${BUILD_DIR} ..." >&2
   cmake -B "${BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE=Release >&2
   cmake --build "${BUILD_DIR}" -j \
         --target micro_event_queue micro_simulation micro_obs micro_fault \
-                 micro_scale micro_dnsd micro_estimator adattl_dnsd adattl_dnsblast >&2
+                 micro_scale micro_dnsd micro_estimator micro_geo adattl_dnsd adattl_dnsblast >&2
 fi
 
 # The google-benchmark "library_build_type" context reports how the
