@@ -3,24 +3,11 @@
 #include <memory>
 #include <vector>
 
-#include "core/alarm_registry.h"
-#include "core/autoscaler.h"
-#include "core/load_estimator.h"
-#include "core/policy_factory.h"
-#include "dnscache/client_cache.h"
-#include "dnscache/name_server.h"
 #include "experiment/config.h"
 #include "experiment/metrics.h"
 #include "experiment/parallel_executor.h"
 #include "experiment/site.h"
-#include "fault/fault_injector.h"
-#include "geo/geo_model.h"
-#include "sim/random.h"
-#include "sim/simulator.h"
-#include "web/cluster.h"
-#include "web/dispatcher.h"
-#include "workload/client_pool.h"
-#include "workload/domain_set.h"
+#include "experiment/slice.h"
 
 namespace adattl::experiment {
 
@@ -29,13 +16,15 @@ namespace adattl::experiment {
 /// Clients in different domains interact only through two channels: the
 /// DNS estimator/alarm state (updated on the monitor clock) and the shared
 /// servers. ShardedSite exploits that: the domains are partitioned
-/// round-robin over N shards, each shard owning a private simulator with
-/// its own scheduler replica, cluster replica, name servers and pooled
-/// clients for its domains. Shards advance independently between monitor
-/// ticks; at every tick all shards stop on a phase barrier and the main
-/// thread — in fixed shard order — merges server busy-time deltas and
-/// queue depths into site-wide utilizations, feeds the SAME merged view to
-/// every shard's alarm registry and (summed drained hit counters) to every
+/// round-robin over N shards, each shard a slice (experiment/slice.h)
+/// with a private simulator, scheduler replica, cluster replica, name
+/// servers and pooled clients for its domains. ShardedSite itself adds
+/// only the barrier loop and the busy-time merge. Shards advance
+/// independently between monitor ticks; at every tick all shards stop on
+/// a phase barrier and the main thread — in fixed shard order — merges
+/// server busy-time deltas and queue depths into site-wide utilizations
+/// and hands them to feed_tick, which feeds the SAME merged view to every
+/// shard's alarm registry and (summed drained hit counters) to every
 /// shard's estimator, so all scheduler replicas evolve identical feedback
 /// state.
 ///
@@ -56,31 +45,10 @@ namespace adattl::experiment {
 /// the same model, not a bit-compatible replay of Site.
 class ShardedSite {
  public:
-  /// One shard: a self-contained slice of the simulation owning every
-  /// mutable object its domains touch. Public for tests/invariant
-  /// checkers; treat as read-only from outside.
-  struct Shard {
-    sim::RngStream rng{0};
-    std::vector<int> domains;  ///< owned global domain ids, ascending
-    std::unique_ptr<sim::Simulator> sim;
-    std::unique_ptr<workload::ThinkTimeModel> think;
-    std::unique_ptr<web::Cluster> cluster;
-    std::unique_ptr<fault::FaultInjector> fault;
-    std::unique_ptr<web::PageDispatcher> dispatcher;
-    std::unique_ptr<core::AlarmRegistry> alarms;
-    /// Per-shard autoscaler replica (null unless autoscale_enabled). Every
-    /// replica observes the same merged utilization view in the same
-    /// order, so all shards take identical pool actions at every tick.
-    std::unique_ptr<core::Autoscaler> autoscaler;
-    core::SchedulerBundle bundle;
-    std::unique_ptr<core::LoadEstimator> estimator;
-    /// NS replicas of owned domain k live at [k*ns_per_domain, ...).
-    std::vector<std::unique_ptr<dnscache::NameServer>> name_servers;
-    std::vector<std::unique_ptr<dnscache::ClientCache>> client_caches;
-    std::unique_ptr<workload::ClientPool> clients;
-    /// Per-server cumulative busy time at the previous barrier.
-    std::vector<double> prev_busy;
-  };
+  /// One shard is one slice (experiment/slice.h) owning the domains
+  /// s, s + N, s + 2N, ... Public for tests/invariant checkers; treat as
+  /// read-only from outside.
+  using Shard = Slice;
 
   /// `config.shard_domains` must be set; `scale` is applied first. The
   /// shard count is config.shard_count (0 = default_jobs()), clamped to
@@ -98,17 +66,14 @@ class ShardedSite {
   int shard_count() const { return static_cast<int>(shards_.size()); }
   Shard& shard(int s) { return *shards_.at(static_cast<std::size_t>(s)); }
   const SimulationConfig& config() const { return config_; }
-  const workload::DomainSet& domain_set() const { return domains_; }
+  const workload::DomainSet& domain_set() const { return inputs_.domains; }
   MaxUtilizationTracker& tracker() { return *tracker_; }
 
  private:
   void monitor_tick(double now);
-  RunResult aggregate(double horizon);
 
   SimulationConfig config_;
-  sim::RngStream rng_;
-  workload::DomainSet domains_;  // perturbed (actual) workload, global view
-  std::shared_ptr<const geo::GeoModel> geo_;
+  SiteInputs inputs_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<MaxUtilizationTracker> tracker_;
   int ticks_ = 0;

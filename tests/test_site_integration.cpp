@@ -164,6 +164,23 @@ TEST(SiteIntegration, ResponsePercentilesAreOrdered) {
   EXPECT_LT(r.response_p50_sec, 1.0);
 }
 
+TEST(SiteIntegration, NameServerRejectsOutOfRangeIndices) {
+  SimulationConfig cfg = short_config("RR");
+  cfg.ns_per_domain = 2;
+  Site site(cfg);
+  EXPECT_EQ(site.name_server(3, 1).domain(), 3);
+  // Replica 2 of domain 0 would alias domain 1's first NS in the flat
+  // array; it must be rejected, not silently returned.
+  EXPECT_THROW(site.name_server(0, 2), std::out_of_range);
+  EXPECT_THROW(site.name_server(0, -1), std::out_of_range);
+  EXPECT_THROW(site.name_server(cfg.num_domains, 0), std::out_of_range);
+  EXPECT_THROW(site.name_server(-1, 1), std::out_of_range);
+
+  cfg.ns_per_domain = 1;
+  Site single(cfg);
+  EXPECT_THROW(single.name_server(0, 1), std::out_of_range);
+}
+
 TEST(SiteIntegration, SiteIsSingleUse) {
   Site site(short_config("RR"));
   site.run();
