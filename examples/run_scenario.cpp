@@ -11,12 +11,10 @@
 #include <vector>
 
 #include "experiment/cli.h"
-#include "experiment/decision_log.h"
 #include "experiment/parallel_executor.h"
 #include "experiment/param_registry.h"
 #include "experiment/report.h"
 #include "experiment/runner.h"
-#include "experiment/trace.h"
 #include "obs/event_tracer.h"
 
 using namespace adattl;
@@ -51,39 +49,28 @@ int main(int argc, char** argv) {
 
   if (!opt.trace_path.empty() || !opt.decisions_path.empty() ||
       !opt.chrome_trace_path.empty()) {
-    // A dedicated instrumented run (same seed as replication 0) so the CSV
-    // artifacts match the first replication's statistics.
-    experiment::Site traced(opt.config);
-    experiment::TraceRecorder recorder;
-    experiment::DecisionLog decisions;
-    if (!opt.trace_path.empty()) recorder.attach(traced.monitor());
-    if (!opt.decisions_path.empty()) decisions.attach(traced.simulator(), traced.scheduler());
-    traced.run();
-    if (!opt.chrome_trace_path.empty()) {
-      obs::EventTracer* tracer = traced.event_tracer();
-      obs::EventTracer::write_file(opt.chrome_trace_path, tracer->to_chrome_json());
-      std::fprintf(stderr, "wrote %llu trace events (%llu dropped) to %s\n",
-                   static_cast<unsigned long long>(tracer->total_recorded() - tracer->dropped()),
-                   static_cast<unsigned long long>(tracer->dropped()),
-                   opt.chrome_trace_path.c_str());
-    }
-    if (!opt.trace_path.empty()) {
-      recorder.write_csv(opt.trace_path);
-      std::fprintf(stderr, "wrote %zu trace samples to %s\n", recorder.samples().size(),
-                   opt.trace_path.c_str());
-    }
-    if (!opt.decisions_path.empty()) {
-      std::FILE* f = std::fopen(opt.decisions_path.c_str(), "w");
-      if (!f) {
-        std::fprintf(stderr, "error: cannot open %s\n", opt.decisions_path.c_str());
-        return 2;
-      }
-      const std::string csv = decisions.to_csv();
-      std::fwrite(csv.data(), 1, csv.size(), f);
-      std::fclose(f);
-      std::fprintf(stderr, "wrote %llu DNS decisions to %s\n",
-                   static_cast<unsigned long long>(decisions.total_recorded()),
-                   opt.decisions_path.c_str());
+    // A dedicated traced run (same seed as replication 0) so the files match
+    // the first replication's statistics; all three are views of its tracer.
+    try {
+      experiment::SimulationConfig traced_config = opt.config;
+      traced_config.trace_enabled = true;
+      experiment::Site traced(traced_config);
+      traced.run();
+      const obs::EventTracer& tracer = *traced.event_tracer();
+      using View = std::string (obs::EventTracer::*)() const;
+      auto write = [&tracer](const std::string& path, View view) {
+        if (path.empty()) return;
+        obs::EventTracer::write_file(path, (tracer.*view)());
+        std::fprintf(stderr, "wrote %llu trace events (%llu dropped) to %s\n",
+                     static_cast<unsigned long long>(tracer.total_recorded() - tracer.dropped()),
+                     static_cast<unsigned long long>(tracer.dropped()), path.c_str());
+      };
+      write(opt.chrome_trace_path, &obs::EventTracer::to_chrome_json);
+      write(opt.trace_path, &obs::EventTracer::utilization_csv);
+      write(opt.decisions_path, &obs::EventTracer::decisions_csv);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 2;
     }
   }
 
@@ -92,7 +79,10 @@ int main(int argc, char** argv) {
   experiment::ParallelExecutor executor(opt.jobs > 0 ? opt.jobs
                                                      : experiment::default_jobs());
   experiment::Sweep sweep;
-  sweep.add(opt.config, opt.replications, opt.config.policy);
+  // Nothing reads a replication's tracer: RunResult carries no trace.
+  experiment::SimulationConfig swept_config = opt.config;
+  swept_config.trace_enabled = false;
+  sweep.add(swept_config, opt.replications, opt.config.policy);
   experiment::SweepResult swept = sweep.run(executor);
   std::fprintf(stderr, "%d replications in %.2f s wall (%.2f s of runs, %d jobs)\n",
                opt.replications, swept.wall_seconds, swept.point_cpu_seconds.front(),

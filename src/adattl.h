@@ -78,10 +78,8 @@
 // experiment
 #include "experiment/cli.h"
 #include "experiment/config.h"
-#include "experiment/decision_log.h"
 #include "experiment/metrics.h"
 #include "experiment/report.h"
 #include "experiment/runner.h"
 #include "experiment/scenario_file.h"
 #include "experiment/site.h"
-#include "experiment/trace.h"

@@ -41,7 +41,6 @@ Decision DnsScheduler::schedule(web::DomainId domain) {
     assignment_rtt_sum_sec_ += rtt;
     per_server_assignment_rtt_sec_[static_cast<std::size_t>(server)] += rtt;
   }
-  const Decision decision{server, ttl};
 
   obs_decisions_.inc();
   obs_ttl_.observe(ttl);
@@ -55,9 +54,7 @@ Decision DnsScheduler::schedule(web::DomainId domain) {
                       ttl);
     }
   }
-
-  if (hook_) hook_(domain, decision);
-  return decision;
+  return Decision{server, ttl};
 }
 
 void DnsScheduler::bind_observability(obs::MetricsRegistry* registry, obs::EventTracer* tracer,

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -41,12 +40,6 @@ class DnsScheduler {
   /// Answers one address request from `domain`.
   Decision schedule(web::DomainId domain);
 
-  /// Observation hook invoked after every decision (e.g. a decision log).
-  /// The scheduler itself is clock-free; observers stamp times themselves.
-  void set_decision_hook(std::function<void(web::DomainId, const Decision&)> hook) {
-    hook_ = std::move(hook);
-  }
-
   /// Registers the scheduler's instruments (decision counter, TTL and
   /// eligible-set-size histograms) on `registry` and optionally wires the
   /// event tracer (`clock` stamps trace records; both may be null).
@@ -83,7 +76,6 @@ class DnsScheduler {
   sim::RunningStat ttl_stat_;
   double assignment_rtt_sum_sec_ = 0.0;
   std::vector<double> per_server_assignment_rtt_sec_;
-  std::function<void(web::DomainId, const Decision&)> hook_;
 
   // Observability (unbound handles are pure no-ops; tracer/clock null
   // unless bound — one predictable branch per decision when off).

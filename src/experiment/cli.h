@@ -20,14 +20,12 @@ struct CliOptions {
   bool csv = false;       ///< emit CSV instead of aligned tables
   bool json = false;      ///< emit one JSON object with the headline metrics
   bool show_cdf = false;  ///< print the full max-utilization CDF curve
-  /// Write the per-tick utilization time series of the first replication
-  /// to this CSV file (empty = no trace).
+  /// Output files of a dedicated traced run with the first replication's
+  /// seed, all derived from its one event tracer (empty = not written):
+  /// the per-tick utilization CSV, the authoritative DNS decisions CSV and
+  /// the Chrome trace_event JSON.
   std::string trace_path;
-  /// Write every authoritative DNS decision of the first replication to
-  /// this CSV file (empty = no decision log).
   std::string decisions_path;
-  /// Write the first replication's event trace as Chrome trace_event JSON
-  /// to this file (empty = no trace). Implies config.trace_enabled.
   std::string chrome_trace_path;
   /// Print the fully resolved run as a scenario file and exit (no run).
   bool dump_config = false;

@@ -780,7 +780,8 @@ ParamRegistry::ParamRegistry() {
     s.kind = ParamKind::kUint;
     s.group = "observability";
     s.hint = "RECORDS";
-    s.doc = "event-trace ring-buffer capacity";
+    s.doc = "event-trace ring-buffer capacity; also bounds --trace, --decisions and "
+            "--chrome-trace";
     s.set = [](C& o, const std::string& v) {
       o.config.trace_capacity = static_cast<std::size_t>(parse_uint_value(v));
     };
@@ -897,26 +898,18 @@ ParamRegistry::ParamRegistry() {
   out_bool("json", "emit one JSON object with headline metrics, config and provenance",
            &C::json);
   out_bool("cdf", "print the full max-utilization CDF curve", &C::show_cdf);
-  out_path("trace", "FILE.csv", "per-tick utilization time series of the first replication",
+  out_path("trace", "FILE.csv",
+           "per-tick utilization time series of the first replication, from its event "
+           "trace",
            &C::trace_path);
-  out_path("decisions", "FILE.csv", "every authoritative DNS decision of the first replication",
+  out_path("decisions", "FILE.csv",
+           "authoritative DNS decisions of the first replication that its event-trace ring "
+           "retains (a default 18,600 s run records ~20.6k events, well under the default "
+           "trace-capacity)",
            &C::decisions_path);
-  {
-    ParamSpec s;
-    s.name = "chrome-trace";
-    s.kind = ParamKind::kString;
-    s.scope = ParamScope::kOutput;
-    s.group = "output";
-    s.hint = "FILE.json";
-    s.doc = "Chrome trace_event timeline of the first replication (implies event-trace=true)";
-    s.in_dump = false;
-    s.set = [](C& o, const std::string& v) {
-      o.chrome_trace_path = v;
-      o.config.trace_enabled = true;
-    };
-    s.get = [](const C& o) { return o.chrome_trace_path; };
-    add(std::move(s));
-  }
+  out_path("chrome-trace", "FILE.json",
+           "Chrome trace_event timeline of the first replication, from its event trace",
+           &C::chrome_trace_path);
   out_bool("dump-config", "print the resolved run as a scenario file and exit",
            &C::dump_config);
   out_bool("dump-params-md", "print the generated knob reference (docs/CONFIG.md) and exit",

@@ -26,8 +26,8 @@ Site::Site(const SimulationConfig& config) : config_(config.scaled()) {
   monitor_ = std::make_unique<web::MonitorHub>(*slice_->sim, *slice_->cluster,
                                                config_.monitor_interval_sec);
   tracker_ = std::make_unique<MaxUtilizationTracker>(slice_->cluster->size(), config_.warmup_sec);
-  monitor_->add_full_observer([this](sim::SimTime now, const std::vector<double>& util,
-                                     const std::vector<std::size_t>& queues) {
+  monitor_->add_observer([this](sim::SimTime now, const std::vector<double>& util,
+                                const std::vector<std::size_t>& queues) {
     feed_tick(slices(), config_, *tracker_, ticks_, now, util, queues, event_tracer_.get());
   });
   monitor_->start();

@@ -40,7 +40,6 @@ class Site {
   core::DnsScheduler& scheduler() { return *slice_->bundle.scheduler; }
   core::DomainModel& domain_model() { return *slice_->bundle.domains; }
   core::AlarmRegistry& alarms() { return *slice_->alarms; }
-  web::MonitorHub& monitor() { return *monitor_; }
   core::LoadEstimator& estimator() { return *slice_->estimator; }
   const workload::DomainSet& domain_set() const { return inputs_.domains; }
   workload::ThinkTimeModel& think_time_model() { return *slice_->think; }

@@ -180,6 +180,12 @@ void feed_tick(std::span<const std::unique_ptr<Slice>> slices,
                const SimulationConfig& config, MaxUtilizationTracker& tracker, int& ticks,
                sim::SimTime now, const std::vector<double>& util,
                const std::vector<std::size_t>& queues, obs::EventTracer* tracer) {
+  if (tracer) {
+    for (std::size_t s = 0; s < util.size(); ++s) {
+      tracer->record(now, obs::TraceKind::kUtilization, static_cast<std::int32_t>(s), 0,
+                     util[s]);
+    }
+  }
   for (const auto& slice : slices) {
     slice->alarms->observe_full(now, util, queues);
     if (slice->autoscaler) slice->autoscaler->observe(util);

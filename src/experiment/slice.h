@@ -197,7 +197,8 @@ std::unique_ptr<Slice> build_slice(const SimulationConfig& config, const SiteInp
 /// max-utilization tracker; then, every estimator_collect_every_ticks-th
 /// tick (counted in `ticks`), every slice's estimator gets the summed
 /// drained per-domain hits, so all scheduler replicas keep identical
-/// feedback state. `tracer`, when set, records the estimator update.
+/// feedback state. `tracer`, when set, first records one kUtilization per
+/// server in server order, and later the estimator update.
 void feed_tick(std::span<const std::unique_ptr<Slice>> slices,
                const SimulationConfig& config, MaxUtilizationTracker& tracker, int& ticks,
                sim::SimTime now, const std::vector<double>& util,

@@ -1,5 +1,6 @@
 #include "obs/event_tracer.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <stdexcept>
 
@@ -21,6 +22,7 @@ const char* trace_kind_name(TraceKind kind) {
     case TraceKind::kDnsOutageEnd: return "dns_outage_end";
     case TraceKind::kStaleServe: return "stale_serve";
     case TraceKind::kRequestFailed: return "request_failed";
+    case TraceKind::kUtilization: return "utilization";
   }
   return "?";
 }
@@ -41,7 +43,8 @@ int chrome_tid(TraceKind kind) {
     case TraceKind::kServerCrash:
     case TraceKind::kServerRecover:
     case TraceKind::kCapacityScale:
-    case TraceKind::kRequestFailed: return 3;
+    case TraceKind::kRequestFailed:
+    case TraceKind::kUtilization: return 3;
     case TraceKind::kStaleServe: return 2;
     case TraceKind::kDnsOutageStart:
     case TraceKind::kDnsOutageEnd: return 5;
@@ -88,6 +91,48 @@ std::string EventTracer::to_csv() const {
   for (const TraceRecord& r : records()) {
     std::snprintf(buf, sizeof(buf), "%.6f,%s,%d,%d,%.6g\n", r.time, trace_kind_name(r.kind),
                   r.a, r.b, r.value);
+    out += buf;
+  }
+  return out;
+}
+
+std::string EventTracer::decisions_csv() const {
+  std::string out = "time,domain,server,ttl\n";
+  char buf[96];
+  for (const TraceRecord& r : records()) {
+    if (r.kind != TraceKind::kDecision) continue;
+    std::snprintf(buf, sizeof(buf), "%.3f,%d,%d,%.3f\n", r.time, r.a, r.b, r.value);
+    out += buf;
+  }
+  return out;
+}
+
+std::string EventTracer::utilization_csv() const {
+  std::vector<TraceRecord> util;
+  int servers = 0;
+  for (const TraceRecord& r : records()) {
+    if (r.kind != TraceKind::kUtilization) continue;
+    util.push_back(r);
+    servers = std::max(servers, r.a + 1);
+  }
+  std::string out = "time";
+  for (int s = 0; s < servers; ++s) out += ",s" + std::to_string(s);
+  out += ",max\n";
+  char buf[64];
+  // A tick's records share its time stamp; only the oldest tick can be
+  // missing some of them, evicted by the ring.
+  for (std::size_t begin = 0, end = 0; begin < util.size(); begin = end) {
+    while (end < util.size() && util[end].time == util[begin].time) ++end;
+    if (end - begin != static_cast<std::size_t>(servers)) continue;
+    std::snprintf(buf, sizeof(buf), "%.3f", util[begin].time);
+    out += buf;
+    double max = util[begin].value;
+    for (std::size_t i = begin; i < end; ++i) {
+      max = std::max(max, util[i].value);
+      std::snprintf(buf, sizeof(buf), ",%.6f", util[i].value);
+      out += buf;
+    }
+    std::snprintf(buf, sizeof(buf), ",%.6f\n", max);
     out += buf;
   }
   return out;

@@ -25,6 +25,7 @@ namespace adattl::obs {
 ///   kDnsOutageEnd
 ///   kStaleServe    a=domain  b=server
 ///   kRequestFailed a=domain  b=server
+///   kUtilization   a=server            value=utilization over the tick
 enum class TraceKind : std::uint8_t {
   kDecision = 0,
   kAlarm,
@@ -40,6 +41,7 @@ enum class TraceKind : std::uint8_t {
   kDnsOutageEnd,
   kStaleServe,
   kRequestFailed,
+  kUtilization,
 };
 
 /// Short stable name ("decision", "alarm", ...), used by both exporters.
@@ -61,8 +63,10 @@ struct TraceRecord {
 /// tracer is wired into components as a nullable pointer — the disabled
 /// cost at every instrumentation point is a single null check.
 ///
-/// Exports: CSV (one row per record) and Chrome `trace_event` JSON
-/// (load chrome://tracing or https://ui.perfetto.dev and drop the file).
+/// Exports: CSV (one row per record), Chrome `trace_event` JSON (load
+/// chrome://tracing or https://ui.perfetto.dev and drop the file), and two
+/// views derived from the records: the DNS decisions and the per-tick
+/// utilization series.
 class EventTracer {
  public:
   /// `capacity` > 0: maximum records retained (oldest evicted first).
@@ -92,12 +96,21 @@ class EventTracer {
   /// "time,kind,a,b,value" rows in chronological order.
   std::string to_csv() const;
 
+  /// kDecision records as "time,domain,server,ttl" rows in chronological
+  /// order.
+  std::string decisions_csv() const;
+
+  /// kUtilization records as one "time,s0,...,max" row per monitor tick;
+  /// the server columns come from the records. A tick whose first records
+  /// the ring has already evicted is skipped, not written short.
+  std::string utilization_csv() const;
+
   /// Chrome trace_event JSON: instant events, ts in microseconds, one tid
   /// per layer (0 = DNS decisions, 1 = alarms, 2 = name servers,
   /// 3 = web servers, 4 = estimator).
   std::string to_chrome_json() const;
 
-  /// Writes `content` (from to_csv()/to_chrome_json()) to `path`; throws
+  /// Writes `content` (from one of the exporters) to `path`; throws
   /// std::runtime_error on I/O failure.
   static void write_file(const std::string& path, const std::string& content);
 

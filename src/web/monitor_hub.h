@@ -19,13 +19,12 @@ namespace adattl::web {
 /// reporting period.
 class MonitorHub {
  public:
-  /// Observer receives (time, utilizations indexed by ServerId).
-  using Observer = std::function<void(sim::SimTime, const std::vector<double>&)>;
-  /// Full observer additionally receives the queue lengths (pages waiting
-  /// or in service) — the signal that exposes silent outages, which leave
-  /// utilization *low* while the backlog explodes.
-  using FullObserver = std::function<void(sim::SimTime, const std::vector<double>&,
-                                          const std::vector<std::size_t>&)>;
+  /// Observer receives (time, utilizations, queue lengths), both indexed
+  /// by ServerId. The queue lengths (pages waiting or in service) expose
+  /// silent outages, which leave utilization *low* while the backlog
+  /// explodes.
+  using Observer = std::function<void(sim::SimTime, const std::vector<double>&,
+                                      const std::vector<std::size_t>&)>;
 
   MonitorHub(sim::Simulator& sim, Cluster& cluster, double interval_sec);
 
@@ -33,7 +32,6 @@ class MonitorHub {
   MonitorHub& operator=(const MonitorHub&) = delete;
 
   void add_observer(Observer obs) { observers_.push_back(std::move(obs)); }
-  void add_full_observer(FullObserver obs) { full_observers_.push_back(std::move(obs)); }
 
   /// Starts ticking; the first report fires one interval from now.
   void start();
@@ -55,7 +53,6 @@ class MonitorHub {
   std::vector<double> last_util_;
   std::vector<std::size_t> last_queue_;
   std::vector<Observer> observers_;
-  std::vector<FullObserver> full_observers_;
 };
 
 }  // namespace adattl::web

@@ -5,6 +5,8 @@
 namespace adattl::web {
 namespace {
 
+using Queues = std::vector<std::size_t>;
+
 class MonitorHubTest : public ::testing::Test {
  protected:
   MonitorHubTest() : rng(42), cluster(simulator, spec(), 4, rng) {}
@@ -24,7 +26,7 @@ class MonitorHubTest : public ::testing::Test {
 TEST_F(MonitorHubTest, TicksAtTheConfiguredInterval) {
   MonitorHub hub(simulator, cluster, 8.0);
   std::vector<double> tick_times;
-  hub.add_observer([&](sim::SimTime now, const std::vector<double>&) {
+  hub.add_observer([&](sim::SimTime now, const std::vector<double>&, const Queues&) {
     tick_times.push_back(now);
   });
   hub.start();
@@ -35,7 +37,7 @@ TEST_F(MonitorHubTest, TicksAtTheConfiguredInterval) {
 TEST_F(MonitorHubTest, IdleServersReportZeroUtilization) {
   MonitorHub hub(simulator, cluster, 8.0);
   std::vector<double> last;
-  hub.add_observer([&](sim::SimTime, const std::vector<double>& u) { last = u; });
+  hub.add_observer([&](sim::SimTime, const std::vector<double>& u, const Queues&) { last = u; });
   hub.start();
   simulator.run_until(8.0);
   ASSERT_EQ(last.size(), 2u);
@@ -48,7 +50,7 @@ TEST_F(MonitorHubTest, SaturatedServerReportsFullUtilization) {
   for (int i = 0; i < 200; ++i) cluster.server(1).submit_page(PageRequest{0, 10, nullptr});
   MonitorHub hub(simulator, cluster, 8.0);
   std::vector<double> last;
-  hub.add_observer([&](sim::SimTime, const std::vector<double>& u) { last = u; });
+  hub.add_observer([&](sim::SimTime, const std::vector<double>& u, const Queues&) { last = u; });
   hub.start();
   simulator.run_until(8.0);
   EXPECT_NEAR(last[1], 1.0, 1e-9);
@@ -60,7 +62,8 @@ TEST_F(MonitorHubTest, UtilizationIsPerWindowNotCumulative) {
   for (int i = 0; i < 20; ++i) cluster.server(0).submit_page(PageRequest{0, 10, nullptr});
   MonitorHub hub(simulator, cluster, 8.0);
   std::vector<std::vector<double>> windows;
-  hub.add_observer([&](sim::SimTime, const std::vector<double>& u) { windows.push_back(u); });
+  hub.add_observer(
+      [&](sim::SimTime, const std::vector<double>& u, const Queues&) { windows.push_back(u); });
   hub.start();
   simulator.run_until(16.0);
   ASSERT_EQ(windows.size(), 2u);
@@ -71,8 +74,8 @@ TEST_F(MonitorHubTest, UtilizationIsPerWindowNotCumulative) {
 TEST_F(MonitorHubTest, MultipleObserversAllNotified) {
   MonitorHub hub(simulator, cluster, 4.0);
   int calls_a = 0, calls_b = 0;
-  hub.add_observer([&](sim::SimTime, const std::vector<double>&) { ++calls_a; });
-  hub.add_observer([&](sim::SimTime, const std::vector<double>&) { ++calls_b; });
+  hub.add_observer([&](sim::SimTime, const std::vector<double>&, const Queues&) { ++calls_a; });
+  hub.add_observer([&](sim::SimTime, const std::vector<double>&, const Queues&) { ++calls_b; });
   hub.start();
   simulator.run_until(12.0);
   EXPECT_EQ(calls_a, 3);
@@ -82,8 +85,7 @@ TEST_F(MonitorHubTest, MultipleObserversAllNotified) {
 TEST_F(MonitorHubTest, FullObserverReceivesQueueLengths) {
   MonitorHub hub(simulator, cluster, 8.0);
   std::vector<std::size_t> queues;
-  hub.add_full_observer([&](sim::SimTime, const std::vector<double>&,
-                            const std::vector<std::size_t>& q) { queues = q; });
+  hub.add_observer([&](sim::SimTime, const std::vector<double>&, const Queues& q) { queues = q; });
   // Pause server 1 so its queue is still visible at the tick.
   cluster.server(1).set_paused(true);
   for (int i = 0; i < 3; ++i) cluster.server(1).submit_page(PageRequest{0, 10, nullptr});
@@ -96,13 +98,14 @@ TEST_F(MonitorHubTest, FullObserverReceivesQueueLengths) {
 }
 
 TEST_F(MonitorHubTest, PlainAndFullObserversCoexist) {
+  // A utilization-only observer ignores the queue lengths that a full one
+  // reads; both ride the same single observer type.
   MonitorHub hub(simulator, cluster, 8.0);
   int plain = 0, full = 0;
-  hub.add_observer([&](sim::SimTime, const std::vector<double>&) { ++plain; });
-  hub.add_full_observer(
-      [&](sim::SimTime, const std::vector<double>&, const std::vector<std::size_t>&) {
-        ++full;
-      });
+  hub.add_observer([&](sim::SimTime, const std::vector<double>&, const Queues&) { ++plain; });
+  hub.add_observer([&](sim::SimTime, const std::vector<double>&, const Queues& q) {
+    full += q.empty() ? 0 : 1;
+  });
   hub.start();
   simulator.run_until(24.0);
   EXPECT_EQ(plain, 3);

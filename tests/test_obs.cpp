@@ -4,9 +4,12 @@
 // simulation results.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "experiment/report.h"
 #include "experiment/runner.h"
@@ -179,6 +182,123 @@ TEST(EventTracer, KindNamesAreStable) {
   EXPECT_STREQ(obs::trace_kind_name(obs::TraceKind::kServerPause), "server_pause");
   EXPECT_STREQ(obs::trace_kind_name(obs::TraceKind::kServerResume), "server_resume");
   EXPECT_STREQ(obs::trace_kind_name(obs::TraceKind::kEstimatorUpdate), "estimator_update");
+  EXPECT_STREQ(obs::trace_kind_name(obs::TraceKind::kUtilization), "utilization");
+}
+
+TEST(EventTracer, UtilizationIsOnTheWebServersTrack) {
+  obs::EventTracer tracer(4);
+  tracer.record(8.0, obs::TraceKind::kUtilization, 2, 0, 0.5);
+  const std::string json = tracer.to_chrome_json();
+  EXPECT_NE(json.find("\"name\":\"utilization\",\"cat\":\"sim\",\"ph\":\"i\",\"s\":\"t\","
+                      "\"ts\":8000000.000,\"pid\":0,\"tid\":3,"),
+            std::string::npos)
+      << json;
+}
+
+TEST(EventTracer, WriteFileRoundTrips) {
+  obs::EventTracer tracer(4);
+  tracer.record(8.0, obs::TraceKind::kUtilization, 0, 0, 0.5);
+  const std::string path = ::testing::TempDir() + "/adattl_trace_test.csv";
+  obs::EventTracer::write_file(path, tracer.utilization_csv());
+  std::FILE* f = std::fopen(path.c_str(), "r");
+  ASSERT_NE(f, nullptr);
+  char buf[256] = {};
+  const std::size_t n = std::fread(buf, 1, sizeof(buf) - 1, f);
+  std::fclose(f);
+  std::remove(path.c_str());
+  EXPECT_EQ(std::string(buf, n), tracer.utilization_csv());
+}
+
+TEST(EventTracer, WriteFileBadPathThrows) {
+  EXPECT_THROW(obs::EventTracer::write_file("/nonexistent-dir-xyz/trace.csv", "x"),
+               std::runtime_error);
+}
+
+// ------------------------------------------------------ decisions_csv view
+
+TEST(DecisionsCsv, RecordsEntriesInOrder) {
+  obs::EventTracer tracer(8);
+  tracer.record(1.0, obs::TraceKind::kDecision, 3, 2, 240.0);
+  tracer.record(1.5, obs::TraceKind::kNsRefresh, 3, 2, 240.0);  // not a decision
+  tracer.record(2.0, obs::TraceKind::kDecision, 4, 1, 120.0);
+  EXPECT_EQ(tracer.decisions_csv(),
+            "time,domain,server,ttl\n1.000,3,2,240.000\n2.000,4,1,120.000\n");
+  EXPECT_EQ(tracer.total_recorded(), 3u);
+  EXPECT_EQ(tracer.dropped(), 0u);
+}
+
+TEST(DecisionsCsv, RingKeepsNewestEntries) {
+  obs::EventTracer tracer(3);
+  for (int i = 0; i < 5; ++i) {
+    tracer.record(static_cast<double>(i), obs::TraceKind::kDecision, i, 0, 240.0);
+  }
+  EXPECT_EQ(tracer.total_recorded(), 5u);
+  EXPECT_EQ(tracer.dropped(), 2u);
+  // CSV is chronological: domains 2, 3, 4 survive.
+  const std::string csv = tracer.decisions_csv();
+  EXPECT_NE(csv.find("2.000,2,0"), std::string::npos);
+  EXPECT_EQ(csv.find("1.000,1,0"), std::string::npos);
+  EXPECT_LT(csv.find("2.000,2,0"), csv.find("4.000,4,0"));
+}
+
+TEST(DecisionsCsv, CsvFormat) {
+  obs::EventTracer tracer(4);
+  tracer.record(8.0, obs::TraceKind::kDecision, 1, 2, 43.2);
+  EXPECT_EQ(tracer.decisions_csv(), "time,domain,server,ttl\n8.000,1,2,43.200\n");
+}
+
+// ---------------------------------------------------- utilization_csv view
+
+void record_tick(obs::EventTracer& tracer, double time, const std::vector<double>& util) {
+  for (std::size_t s = 0; s < util.size(); ++s) {
+    tracer.record(time, obs::TraceKind::kUtilization, static_cast<std::int32_t>(s), 0,
+                  util[s]);
+  }
+}
+
+TEST(UtilizationCsv, RecordsSamplesWithMax) {
+  obs::EventTracer tracer(16);
+  record_tick(tracer, 8.0, {0.2, 0.7});
+  tracer.record(9.0, obs::TraceKind::kDecision, 0, 1, 240.0);  // not a sample
+  record_tick(tracer, 16.0, {0.9, 0.1});
+  EXPECT_EQ(tracer.utilization_csv(),
+            "time,s0,s1,max\n"
+            "8.000,0.200000,0.700000,0.700000\n"
+            "16.000,0.900000,0.100000,0.900000\n");
+}
+
+TEST(UtilizationCsv, CsvHasHeaderAndRows) {
+  obs::EventTracer tracer(4);
+  record_tick(tracer, 8.0, {0.25, 0.5});
+  const std::string csv = tracer.utilization_csv();
+  EXPECT_NE(csv.find("time,s0,s1,max\n"), std::string::npos);
+  EXPECT_NE(csv.find("8.000,0.250000,0.500000,0.500000\n"), std::string::npos);
+}
+
+TEST(UtilizationCsv, EmptyTraceStillHasHeader) {
+  obs::EventTracer tracer(4);
+  EXPECT_EQ(tracer.utilization_csv(), "time,max\n");
+  tracer.record(1.0, obs::TraceKind::kDecision, 0, 0, 240.0);
+  EXPECT_EQ(tracer.utilization_csv(), "time,max\n");
+}
+
+TEST(UtilizationCsv, RingSkipsPartlyEvictedTick) {
+  // Three ticks of three servers into a 7-record ring: the 8 s tick keeps
+  // only its s2 record, so it is skipped rather than written short.
+  obs::EventTracer tracer(7);
+  record_tick(tracer, 8.0, {0.1, 0.2, 0.3});
+  record_tick(tracer, 16.0, {0.4, 0.5, 0.6});
+  record_tick(tracer, 24.0, {0.7, 0.8, 0.9});
+  EXPECT_EQ(tracer.dropped(), 2u);
+  EXPECT_EQ(tracer.utilization_csv(),
+            "time,s0,s1,s2,max\n"
+            "16.000,0.400000,0.500000,0.600000,0.600000\n"
+            "24.000,0.700000,0.800000,0.900000,0.900000\n");
+  // Two more records evict the 8 s s2 and the 16 s s0: only 24 s is whole.
+  tracer.record(32.0, obs::TraceKind::kUtilization, 0, 0, 1.0);
+  tracer.record(32.0, obs::TraceKind::kUtilization, 1, 0, 0.5);
+  EXPECT_EQ(tracer.utilization_csv(),
+            "time,s0,s1,s2,max\n24.000,0.700000,0.800000,0.900000,0.900000\n");
 }
 
 // --------------------------------------------------------------- profiler
@@ -309,6 +429,77 @@ TEST(SiteObservability, TracerCapturesDecisionTimeline) {
   // The exported timeline parses as one JSON object (spot checks).
   const std::string json = tracer->to_chrome_json();
   EXPECT_NE(json.find("\"name\":\"server_pause\""), std::string::npos);
+}
+
+TEST(UtilizationCsv, TracedSiteRecordsEveryTick) {
+  experiment::SimulationConfig config;
+  config.policy = "RR";
+  config.warmup_sec = 0.0;
+  config.duration_sec = 800.0;  // 100 ticks at 8 s
+  config.seed = 77;
+  config.trace_enabled = true;
+  experiment::Site site(config);
+  site.run();
+  const obs::EventTracer& tracer = *site.event_tracer();
+  ASSERT_EQ(tracer.dropped(), 0u);
+
+  std::vector<obs::TraceRecord> util;
+  for (const obs::TraceRecord& r : tracer.records()) {
+    if (r.kind == obs::TraceKind::kUtilization) util.push_back(r);
+  }
+  const std::size_t servers = 7;
+  ASSERT_EQ(util.size(), 100u * servers);
+  // One record per server per tick, in server order, on the 8-second grid.
+  for (std::size_t i = 0; i < util.size(); ++i) {
+    EXPECT_EQ(util[i].a, static_cast<std::int32_t>(i % servers));
+    EXPECT_DOUBLE_EQ(util[i].time, 8.0 * static_cast<double>(i / servers + 1));
+  }
+  EXPECT_DOUBLE_EQ(util.front().time, 8.0);
+  EXPECT_DOUBLE_EQ(util.back().time, 800.0);
+
+  const std::string csv = tracer.utilization_csv();
+  EXPECT_EQ(csv.rfind("time,s0,s1,s2,s3,s4,s5,s6,max\n", 0), 0u);
+  EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 101);
+}
+
+TEST(DecisionsCsv, TracedSiteCapturesAllDecisions) {
+  experiment::SimulationConfig config;
+  config.policy = "DRR2-TTL/S_K";
+  config.warmup_sec = 0.0;
+  config.duration_sec = 1800.0;
+  config.seed = 66;
+  config.trace_enabled = true;
+  experiment::Site site(config);
+  const experiment::RunResult r = site.run();
+  const obs::EventTracer& tracer = *site.event_tracer();
+  ASSERT_EQ(tracer.dropped(), 0u);
+
+  std::vector<obs::TraceRecord> decisions;
+  for (const obs::TraceRecord& rec : tracer.records()) {
+    if (rec.kind == obs::TraceKind::kDecision) decisions.push_back(rec);
+  }
+  EXPECT_EQ(decisions.size(), r.authoritative_queries);
+  ASSERT_FALSE(decisions.empty());
+  // Times are stamped and monotone.
+  for (std::size_t i = 1; i < decisions.size(); ++i) {
+    EXPECT_LE(decisions[i - 1].time, decisions[i].time);
+  }
+  // Per-server counts agree with the scheduler's own bookkeeping.
+  std::vector<std::uint64_t> counts(site.scheduler().assignments().size(), 0);
+  for (const obs::TraceRecord& rec : decisions) counts.at(static_cast<std::size_t>(rec.b))++;
+  EXPECT_EQ(counts, site.scheduler().assignments());
+  // Hot domains re-resolve more often under TTL/K: domain 0 must appear
+  // strictly more often than the coldest domain.
+  int d0 = 0, d19 = 0;
+  for (const obs::TraceRecord& rec : decisions) {
+    d0 += (rec.a == 0);
+    d19 += (rec.a == 19);
+  }
+  EXPECT_GT(d0, d19);
+  // The CSV view has one row per decision.
+  const std::string csv = tracer.decisions_csv();
+  EXPECT_EQ(static_cast<std::size_t>(std::count(csv.begin(), csv.end(), '\n')),
+            decisions.size() + 1);
 }
 
 TEST(SiteObservability, EnablingObservabilityDoesNotChangeResults) {

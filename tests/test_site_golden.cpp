@@ -213,7 +213,7 @@ std::uint64_t sharded_digest(const std::string& name) {
 
 // Identical under ADATTL_JOBS=1 and ADATTL_JOBS=4.
 constexpr Golden kSerial[] = {
-    {"RedirectMetricsTrace", 0xe1f5c4487ebd6599ULL},
+    {"RedirectMetricsTrace", 0xa0dacb537104abb3ULL},
     {"CostHoltWinters", 0x4103ad270f234a56ULL},
     {"ArTwoNsPerDomain", 0xa5a09607209d166dULL},
 };

@@ -3,12 +3,13 @@
 // their credibility.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <vector>
 
 #include "experiment/runner.h"
 #include "experiment/site.h"
-#include "experiment/trace.h"
 #include "sim/random.h"
 
 namespace adattl {
@@ -149,13 +150,21 @@ TEST(StatValidation, ConfiguredWarmupCoversMserEstimate) {
   cfg.warmup_sec = 0.0;
   cfg.duration_sec = 10000.0;
   cfg.seed = 10;
+  cfg.trace_enabled = true;
   experiment::Site site(cfg);
-  experiment::TraceRecorder rec;
-  rec.attach(site.monitor());
   site.run();
+  const obs::EventTracer& tracer = *site.event_tracer();
+  ASSERT_EQ(tracer.dropped(), 0u);
+  // Each tick's kUtilization records run s0, s1, ...: s0 opens a sample.
   std::vector<double> series;
-  series.reserve(rec.samples().size());
-  for (const auto& s : rec.samples()) series.push_back(s.max_utilization);
+  for (const obs::TraceRecord& r : tracer.records()) {
+    if (r.kind != obs::TraceKind::kUtilization) continue;
+    if (r.a == 0) {
+      series.push_back(r.value);
+    } else {
+      series.back() = std::max(series.back(), r.value);
+    }
+  }
   const std::size_t suggested_ticks = sim::mser5_truncation(series);
   EXPECT_LE(suggested_ticks * 8.0, 600.0)
       << "the max-util series wants more warm-up than the configured default";
