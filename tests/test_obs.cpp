@@ -214,9 +214,9 @@ TEST(EventTracer, WriteFileBadPathThrows) {
                std::runtime_error);
 }
 
-// ------------------------------------------------------ decisions_csv view
+// ------------------------------------------- decision log (decisions_csv)
 
-TEST(DecisionsCsv, RecordsEntriesInOrder) {
+TEST(DecisionLog, RecordsEntriesInOrder) {
   obs::EventTracer tracer(8);
   tracer.record(1.0, obs::TraceKind::kDecision, 3, 2, 240.0);
   tracer.record(1.5, obs::TraceKind::kNsRefresh, 3, 2, 240.0);  // not a decision
@@ -227,7 +227,7 @@ TEST(DecisionsCsv, RecordsEntriesInOrder) {
   EXPECT_EQ(tracer.dropped(), 0u);
 }
 
-TEST(DecisionsCsv, RingKeepsNewestEntries) {
+TEST(DecisionLog, RingKeepsNewestEntries) {
   obs::EventTracer tracer(3);
   for (int i = 0; i < 5; ++i) {
     tracer.record(static_cast<double>(i), obs::TraceKind::kDecision, i, 0, 240.0);
@@ -241,13 +241,13 @@ TEST(DecisionsCsv, RingKeepsNewestEntries) {
   EXPECT_LT(csv.find("2.000,2,0"), csv.find("4.000,4,0"));
 }
 
-TEST(DecisionsCsv, CsvFormat) {
+TEST(DecisionLog, CsvFormat) {
   obs::EventTracer tracer(4);
   tracer.record(8.0, obs::TraceKind::kDecision, 1, 2, 43.2);
   EXPECT_EQ(tracer.decisions_csv(), "time,domain,server,ttl\n8.000,1,2,43.200\n");
 }
 
-// ---------------------------------------------------- utilization_csv view
+// ------------------------------------ utilization trace (utilization_csv)
 
 void record_tick(obs::EventTracer& tracer, double time, const std::vector<double>& util) {
   for (std::size_t s = 0; s < util.size(); ++s) {
@@ -256,7 +256,7 @@ void record_tick(obs::EventTracer& tracer, double time, const std::vector<double
   }
 }
 
-TEST(UtilizationCsv, RecordsSamplesWithMax) {
+TEST(TraceRecorder, RecordsSamplesWithMax) {
   obs::EventTracer tracer(16);
   record_tick(tracer, 8.0, {0.2, 0.7});
   tracer.record(9.0, obs::TraceKind::kDecision, 0, 1, 240.0);  // not a sample
@@ -267,7 +267,7 @@ TEST(UtilizationCsv, RecordsSamplesWithMax) {
             "16.000,0.900000,0.100000,0.900000\n");
 }
 
-TEST(UtilizationCsv, CsvHasHeaderAndRows) {
+TEST(TraceRecorder, CsvHasHeaderAndRows) {
   obs::EventTracer tracer(4);
   record_tick(tracer, 8.0, {0.25, 0.5});
   const std::string csv = tracer.utilization_csv();
@@ -275,14 +275,14 @@ TEST(UtilizationCsv, CsvHasHeaderAndRows) {
   EXPECT_NE(csv.find("8.000,0.250000,0.500000,0.500000\n"), std::string::npos);
 }
 
-TEST(UtilizationCsv, EmptyTraceStillHasHeader) {
+TEST(TraceRecorder, EmptyTraceStillHasHeader) {
   obs::EventTracer tracer(4);
   EXPECT_EQ(tracer.utilization_csv(), "time,max\n");
   tracer.record(1.0, obs::TraceKind::kDecision, 0, 0, 240.0);
   EXPECT_EQ(tracer.utilization_csv(), "time,max\n");
 }
 
-TEST(UtilizationCsv, RingSkipsPartlyEvictedTick) {
+TEST(TraceRecorder, RingSkipsPartlyEvictedTick) {
   // Three ticks of three servers into a 7-record ring: the 8 s tick keeps
   // only its s2 record, so it is skipped rather than written short.
   obs::EventTracer tracer(7);
@@ -431,7 +431,7 @@ TEST(SiteObservability, TracerCapturesDecisionTimeline) {
   EXPECT_NE(json.find("\"name\":\"server_pause\""), std::string::npos);
 }
 
-TEST(UtilizationCsv, TracedSiteRecordsEveryTick) {
+TEST(TraceRecorder, AttachedToSiteRecordsEveryTick) {
   experiment::SimulationConfig config;
   config.policy = "RR";
   config.warmup_sec = 0.0;
@@ -462,32 +462,37 @@ TEST(UtilizationCsv, TracedSiteRecordsEveryTick) {
   EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 101);
 }
 
-TEST(DecisionsCsv, TracedSiteCapturesAllDecisions) {
+// The decision records of a traced DRR2-TTL/S_K Site run.
+std::vector<obs::TraceRecord> traced_decisions(experiment::Site& site) {
+  const obs::EventTracer& tracer = *site.event_tracer();
+  EXPECT_EQ(tracer.dropped(), 0u);
+  std::vector<obs::TraceRecord> decisions;
+  for (const obs::TraceRecord& rec : tracer.records()) {
+    if (rec.kind == obs::TraceKind::kDecision) decisions.push_back(rec);
+  }
+  return decisions;
+}
+
+experiment::SimulationConfig decision_config() {
   experiment::SimulationConfig config;
   config.policy = "DRR2-TTL/S_K";
   config.warmup_sec = 0.0;
   config.duration_sec = 1800.0;
   config.seed = 66;
   config.trace_enabled = true;
-  experiment::Site site(config);
-  const experiment::RunResult r = site.run();
-  const obs::EventTracer& tracer = *site.event_tracer();
-  ASSERT_EQ(tracer.dropped(), 0u);
+  return config;
+}
 
-  std::vector<obs::TraceRecord> decisions;
-  for (const obs::TraceRecord& rec : tracer.records()) {
-    if (rec.kind == obs::TraceKind::kDecision) decisions.push_back(rec);
-  }
+TEST(DecisionLog, AttachedToSiteCapturesAllDecisions) {
+  experiment::Site site(decision_config());
+  const experiment::RunResult r = site.run();
+  const std::vector<obs::TraceRecord> decisions = traced_decisions(site);
   EXPECT_EQ(decisions.size(), r.authoritative_queries);
   ASSERT_FALSE(decisions.empty());
   // Times are stamped and monotone.
   for (std::size_t i = 1; i < decisions.size(); ++i) {
     EXPECT_LE(decisions[i - 1].time, decisions[i].time);
   }
-  // Per-server counts agree with the scheduler's own bookkeeping.
-  std::vector<std::uint64_t> counts(site.scheduler().assignments().size(), 0);
-  for (const obs::TraceRecord& rec : decisions) counts.at(static_cast<std::size_t>(rec.b))++;
-  EXPECT_EQ(counts, site.scheduler().assignments());
   // Hot domains re-resolve more often under TTL/K: domain 0 must appear
   // strictly more often than the coldest domain.
   int d0 = 0, d19 = 0;
@@ -497,9 +502,20 @@ TEST(DecisionsCsv, TracedSiteCapturesAllDecisions) {
   }
   EXPECT_GT(d0, d19);
   // The CSV view has one row per decision.
-  const std::string csv = tracer.decisions_csv();
+  const std::string csv = site.event_tracer()->decisions_csv();
   EXPECT_EQ(static_cast<std::size_t>(std::count(csv.begin(), csv.end(), '\n')),
             decisions.size() + 1);
+}
+
+TEST(DecisionLog, PerServerCounts) {
+  experiment::Site site(decision_config());
+  site.run();
+  const std::vector<obs::TraceRecord> decisions = traced_decisions(site);
+  ASSERT_FALSE(decisions.empty());
+  // Per-server counts agree with the scheduler's own bookkeeping.
+  std::vector<std::uint64_t> counts(site.scheduler().assignments().size(), 0);
+  for (const obs::TraceRecord& rec : decisions) counts.at(static_cast<std::size_t>(rec.b))++;
+  EXPECT_EQ(counts, site.scheduler().assignments());
 }
 
 TEST(SiteObservability, EnablingObservabilityDoesNotChangeResults) {

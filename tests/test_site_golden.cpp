@@ -19,6 +19,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <ostream>
 #include <string>
 
 #include "experiment/config.h"
@@ -156,6 +157,11 @@ struct Golden {
   const char* name;
   std::uint64_t digest;
 };
+
+// gtest would otherwise print the raw bytes, and the name pointer among
+// them differs on every run of an address-randomised binary, so the test
+// names that ctest discovers would differ from build to build.
+void PrintTo(const Golden& g, std::ostream* os) { *os << g.name; }
 
 experiment::SimulationConfig serial_config(const std::string& name) {
   if (name == "RedirectMetricsTrace") {
