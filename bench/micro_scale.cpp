@@ -9,7 +9,6 @@
 // through a multi-hour simulated day, end to end.
 #include <benchmark/benchmark.h>
 
-#include "experiment/sharded_site.h"
 #include "experiment/site.h"
 
 namespace {
@@ -36,7 +35,7 @@ void BM_ScaleClients(benchmark::State& state) {
     experiment::SimulationConfig cfg = scale_config(clients, 60.0, 240.0);
     cfg.shard_domains = true;
     cfg.shard_count = 4;
-    experiment::ShardedSite site(cfg);
+    experiment::Site site(cfg);
     const experiment::RunResult r = site.run();
     events += r.events_dispatched;
     simulated += cfg.warmup_sec + cfg.duration_sec;
@@ -81,7 +80,7 @@ void BM_MillionClientDay(benchmark::State& state) {
     experiment::SimulationConfig cfg = scale_config(1000000, 600.0, 14400.0);
     cfg.shard_domains = true;
     cfg.shard_count = 4;
-    experiment::ShardedSite site(cfg);
+    experiment::Site site(cfg);
     const experiment::RunResult r = site.run();
     events += r.events_dispatched;
     benchmark::DoNotOptimize(r.prob_below_098);

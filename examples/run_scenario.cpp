@@ -47,16 +47,18 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (!opt.trace_path.empty() || !opt.decisions_path.empty() ||
-      !opt.chrome_trace_path.empty()) {
-    // A dedicated traced run (same seed as replication 0) so the files match
-    // the first replication's statistics; all three are views of its tracer.
+  // Tracing, when asked for, rides on replication 0 itself: its run writes
+  // the trace files and becomes runs[0], and the sweep runs the rest.
+  const bool traced = !opt.trace_path.empty() || !opt.decisions_path.empty() ||
+                      !opt.chrome_trace_path.empty();
+  experiment::ReplicatedResult rep;
+  if (traced) {
     try {
       experiment::SimulationConfig traced_config = opt.config;
       traced_config.trace_enabled = true;
-      experiment::Site traced(traced_config);
-      traced.run();
-      const obs::EventTracer& tracer = *traced.event_tracer();
+      experiment::Site site(traced_config);
+      rep.runs.push_back(site.run());
+      const obs::EventTracer& tracer = *site.event_tracer();
       using View = std::string (obs::EventTracer::*)() const;
       auto write = [&tracer](const std::string& path, View view) {
         if (path.empty()) return;
@@ -74,20 +76,24 @@ int main(int argc, char** argv) {
     }
   }
 
-  // One sweep point (config × replications) through the parallel executor;
-  // replications fan across workers with output identical to --jobs=1.
-  experiment::ParallelExecutor executor(opt.jobs > 0 ? opt.jobs
-                                                     : experiment::default_jobs());
-  experiment::Sweep sweep;
-  // Nothing reads a replication's tracer: RunResult carries no trace.
-  experiment::SimulationConfig swept_config = opt.config;
-  swept_config.trace_enabled = false;
-  sweep.add(swept_config, opt.replications, opt.config.policy);
-  experiment::SweepResult swept = sweep.run(executor);
-  std::fprintf(stderr, "%d replications in %.2f s wall (%.2f s of runs, %d jobs)\n",
-               opt.replications, swept.wall_seconds, swept.point_cpu_seconds.front(),
-               swept.jobs);
-  const experiment::ReplicatedResult rep = std::move(swept.points.front());
+  // One sweep point (config × the remaining replications) through the
+  // parallel executor; replications fan across workers with output
+  // identical to --jobs=1.
+  const int swept_reps = opt.replications - static_cast<int>(rep.runs.size());
+  if (swept_reps > 0) {
+    experiment::ParallelExecutor executor(opt.jobs > 0 ? opt.jobs
+                                                       : experiment::default_jobs());
+    experiment::Sweep sweep;
+    // Nothing reads a replication's tracer: RunResult carries no trace.
+    experiment::SimulationConfig swept_config = opt.config;
+    swept_config.trace_enabled = false;
+    swept_config.seed += rep.runs.size();
+    sweep.add(swept_config, swept_reps, opt.config.policy);
+    experiment::SweepResult swept = sweep.run(executor);
+    std::fprintf(stderr, "%d replications in %.2f s wall (%.2f s of runs, %d jobs)\n",
+                 swept_reps, swept.wall_seconds, swept.point_cpu_seconds.front(), swept.jobs);
+    for (experiment::RunResult& r : swept.points.front().runs) rep.runs.push_back(std::move(r));
+  }
   const experiment::RunResult& first = rep.runs.front();
 
   if (opt.json) {

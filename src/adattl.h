@@ -36,7 +36,6 @@
 // web
 #include "web/cluster.h"
 #include "web/dispatcher.h"
-#include "web/monitor_hub.h"
 #include "web/types.h"
 #include "web/web_server.h"
 

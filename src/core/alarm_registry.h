@@ -16,8 +16,8 @@ namespace adattl::core {
 /// "normal" signal. Alarmed servers are excluded from scheduling until
 /// they recover.
 ///
-/// observe() is wired to the MonitorHub so signals arrive with the same
-/// 8-second cadence the paper models.
+/// observe() runs on the site's monitor tick (experiment::Site) so signals
+/// arrive with the same 8-second cadence the paper models.
 /// The paper's feedback is utilization-only; a *silent outage* (a stalled
 /// server) leaves utilization near zero while its backlog explodes, so a
 /// utilization-only DNS keeps feeding the dead server. The optional queue

@@ -20,8 +20,8 @@ struct CliOptions {
   bool csv = false;       ///< emit CSV instead of aligned tables
   bool json = false;      ///< emit one JSON object with the headline metrics
   bool show_cdf = false;  ///< print the full max-utilization CDF curve
-  /// Output files of a dedicated traced run with the first replication's
-  /// seed, all derived from its one event tracer (empty = not written):
+  /// Output files of the first replication, which then runs traced; all
+  /// are derived from its one event tracer (empty = not written):
   /// the per-tick utilization CSV, the authoritative DNS decisions CSV and
   /// the Chrome trace_event JSON.
   std::string trace_path;

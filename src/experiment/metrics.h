@@ -19,7 +19,7 @@ class MaxUtilizationTracker {
   MaxUtilizationTracker(int num_servers, sim::SimTime warmup_end, int cdf_bins = 500,
                         std::size_t batch_ticks = 75);
 
-  /// MonitorHub observer entry point. Samples with now < warmup_end are
+  /// Fed once per monitor tick (feed_tick). Samples with now < warmup_end are
   /// discarded; the sample at exactly warmup_end is kept (the measured
   /// period is closed on the left — the convention for all collectors).
   void observe(sim::SimTime now, const std::vector<double>& utilizations);

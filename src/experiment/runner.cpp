@@ -8,7 +8,6 @@
 
 #include "experiment/env_config.h"
 #include "experiment/report.h"
-#include "experiment/sharded_site.h"
 
 namespace adattl::experiment {
 
@@ -144,16 +143,9 @@ SweepResult Sweep::run(ParallelExecutor& executor, ProgressFn on_point_done) con
         SimulationConfig config = points_[p].config;
         config.seed = points_[p].config.seed + static_cast<std::uint64_t>(i);
         const auto run_start = Clock::now();
-        RunResult result;
-        if (config.shard_domains) {
-          // Sharded runs parallelize internally over their own pool (the
-          // sweep executor is not reentrant from inside a task).
-          ShardedSite site(config);
-          result = site.run();
-        } else {
-          Site site(config);
-          result = site.run();
-        }
+        // A sharded run advances its slices on a pool of its own (the
+        // sweep executor is not reentrant from inside a task).
+        RunResult result = Site(config).run();
         const double run_seconds = since(run_start);
         out.points[p].runs[static_cast<std::size_t>(i)] = std::move(result);
 

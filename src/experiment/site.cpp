@@ -1,5 +1,7 @@
 #include "experiment/site.h"
 
+#include <algorithm>
+#include <functional>
 #include <stdexcept>
 #include <string>
 
@@ -8,9 +10,6 @@ namespace adattl::experiment {
 Site::Site(const SimulationConfig& config) : config_(config.scaled()) {
   obs::Stopwatch setup_watch;
   config_.validate();
-  if (config_.shard_domains) {
-    throw std::invalid_argument("Site: shard_domains configs require ShardedSite");
-  }
 
   // Observability backends exist only when asked for; every consumer takes
   // a nullable pointer, so the disabled path costs a handful of null binds.
@@ -19,29 +18,40 @@ Site::Site(const SimulationConfig& config) : config_(config.scaled()) {
     event_tracer_ = std::make_unique<obs::EventTracer>(config_.trace_capacity);
   }
 
+  // One slice draws from the master stream itself. Several take one split
+  // each, in slice order, so the derivation depends only on (seed, slice
+  // index) — and slice 0 never shares a stream with slice 1.
   inputs_ = make_site_inputs(config_);
-  slice_ = build_slice(config_, inputs_, 1, 0, sim::RngStream(config_.seed));
+  const int requested = !config_.shard_domains  ? 1
+                        : config_.shard_count > 0 ? config_.shard_count
+                                                  : default_jobs();
+  const int num_slices = std::max(1, std::min(requested, config_.num_domains));
+  sim::RngStream master(config_.seed);
+  slices_.reserve(static_cast<std::size_t>(num_slices));
+  for (int s = 0; s < num_slices; ++s) {
+    slices_.push_back(build_slice(config_, inputs_, num_slices, s,
+                                  num_slices == 1 ? master : master.split()));
+  }
 
   // ---- Monitoring: alarms, metrics, estimation all on the 8 s clock ----
-  monitor_ = std::make_unique<web::MonitorHub>(*slice_->sim, *slice_->cluster,
-                                               config_.monitor_interval_sec);
-  tracker_ = std::make_unique<MaxUtilizationTracker>(slice_->cluster->size(), config_.warmup_sec);
-  monitor_->add_observer([this](sim::SimTime now, const std::vector<double>& util,
-                                const std::vector<std::size_t>& queues) {
-    feed_tick(slices(), config_, *tracker_, ticks_, now, util, queues, event_tracer_.get());
-  });
-  monitor_->start();
+  tracker_ = std::make_unique<MaxUtilizationTracker>(config_.cluster.size(), config_.warmup_sec);
+  util_.resize(static_cast<std::size_t>(config_.cluster.size()));
+  queues_.resize(util_.size());
+  next_tick_ = config_.monitor_interval_sec;
+  post_ticks();
 
   // ---- Observability wiring (resolves all metric handles once, here) ----
   if (metrics_registry_ || event_tracer_) {
     obs::MetricsRegistry* reg = metrics_registry_.get();
     obs::EventTracer* tracer = event_tracer_.get();
-    slice_->bundle.scheduler->bind_observability(reg, tracer, slice_->sim.get());
-    slice_->alarms->bind_observability(reg, tracer);
-    slice_->fault->bind_observability(reg, tracer);
-    for (auto& ns : slice_->name_servers) ns->bind_observability(reg, tracer);
-    for (int s = 0; s < slice_->cluster->size(); ++s) {
-      slice_->cluster->server(s).bind_observability(reg, tracer);
+    for (const auto& slice : slices_) {
+      slice->bundle.scheduler->bind_observability(reg, tracer, slice->sim.get());
+      slice->alarms->bind_observability(reg, tracer);
+      slice->fault->bind_observability(reg, tracer);
+      for (auto& ns : slice->name_servers) ns->bind_observability(reg, tracer);
+      for (int s = 0; s < slice->cluster->size(); ++s) {
+        slice->cluster->server(s).bind_observability(reg, tracer);
+      }
     }
   }
   setup_seconds_ = setup_watch.elapsed();
@@ -52,10 +62,73 @@ dnscache::NameServer& Site::name_server(int d, int replica) {
     throw std::out_of_range("Site::name_server: no replica " + std::to_string(replica) +
                             " of domain " + std::to_string(d));
   }
-  return *slice_->name_servers[static_cast<std::size_t>(d * config_.ns_per_domain + replica)];
+  // Domain d is the (d / S)-th domain of slice d % S.
+  const int num_slices = shard_count();
+  const Slice& owner = *slices_[static_cast<std::size_t>(d % num_slices)];
+  return *owner.name_servers[static_cast<std::size_t>((d / num_slices) * config_.ns_per_domain +
+                                                      replica)];
+}
+
+void Site::post_ticks() {
+  for (const auto& slice : slices_) {
+    sim::Simulator* sim = slice->sim.get();
+    sim->at(next_tick_, sim::assert_inline([sim] { sim->stop(); }));
+  }
+}
+
+void Site::advance(sim::SimTime end, ParallelExecutor* executor) {
+  if (!executor || slices_.size() == 1) {
+    for (const auto& slice : slices_) slice->sim->run_until(end);
+    return;
+  }
+  std::vector<std::function<void()>> legs;
+  legs.reserve(slices_.size());
+  for (const auto& slice : slices_) {
+    legs.push_back([sim = slice->sim.get(), end] { sim->run_until(end); });
+  }
+  executor->run(std::move(legs));
+}
+
+void Site::monitor_tick() {
+  // A server's utilization is the sum of its replicas' busy fractions over
+  // the interval; queue depths sum.
+  const sim::SimTime now = next_tick_;
+  std::fill(util_.begin(), util_.end(), 0.0);
+  std::fill(queues_.begin(), queues_.end(), 0);
+  for (const auto& slice : slices_) {
+    for (std::size_t i = 0; i < util_.size(); ++i) {
+      const web::WebServer& server = slice->cluster->server(static_cast<int>(i));
+      const double busy = server.cumulative_busy_time(now);
+      util_[i] += (busy - slice->prev_busy[i]) / config_.monitor_interval_sec;
+      slice->prev_busy[i] = busy;
+      queues_[i] += server.queue_length();
+    }
+  }
+  // Replicas overlap in time (each has the full capacity), so a merged
+  // fraction can pass 1; a lone slice's reading goes through as measured.
+  if (slices_.size() > 1) {
+    for (double& u : util_) u = std::min(u, 1.0);
+  }
+  feed_tick(slices_, config_, *tracker_, ticks_, now, util_, queues_, event_tracer_.get());
+  next_tick_ += config_.monitor_interval_sec;
+  post_ticks();
+}
+
+void Site::run_until(sim::SimTime t, ParallelExecutor* executor) {
+  for (;;) {
+    const bool tick = next_tick_ <= t;
+    advance(tick ? next_tick_ : t, executor);
+    if (!tick) return;
+    monitor_tick();
+  }
 }
 
 RunResult Site::run() {
+  ParallelExecutor executor(shard_count() == 1 ? 1 : std::min(default_jobs(), shard_count()));
+  return run(executor);
+}
+
+RunResult Site::run(ParallelExecutor& executor) {
   if (ran_) throw std::logic_error("Site::run: a Site is single-use");
   ran_ = true;
 
@@ -63,18 +136,19 @@ RunResult Site::run() {
   // call over the full horizon: events scheduled exactly at the boundary
   // execute in the first leg either way. It exists only to attribute wall
   // time to the warm-up vs measured phases.
-  sim::Simulator& sim = *slice_->sim;
   obs::Stopwatch phase_watch;
   const double horizon = config_.warmup_sec + config_.duration_sec;
-  sim.run_until(config_.warmup_sec);
+  run_until(config_.warmup_sec, &executor);
   const double warmup_wall = phase_watch.lap();
-  sim.run_until(horizon);
+  run_until(horizon, &executor);
   const double measurement_wall = phase_watch.lap();
 
-  RunResult r = aggregate(slices(), config_, *tracker_, horizon);
+  RunResult r = aggregate(slices_, config_, *tracker_, horizon);
   if (metrics_registry_) {
     // Kernel health is tracked inside the event queue regardless of the
     // registry; surface it in the snapshot alongside the wired instruments.
+    // Metrics run on one slice only (cross_validate rejects them sharded).
+    const sim::Simulator& sim = simulator();
     metrics_registry_->gauge("kernel.events_dispatched")
         .set(static_cast<double>(sim.events_dispatched()));
     metrics_registry_->gauge("kernel.peak_events").set(static_cast<double>(sim.peak_pending()));

@@ -171,7 +171,7 @@ std::unique_ptr<Slice> build_slice(const SimulationConfig& config, const SiteInp
     }
   }
 
-  // Cumulative busy time is 0 at t = 0, matching MonitorHub::start().
+  // Cumulative busy time is 0 at t = 0: the first tick reads [0, interval).
   slice->prev_busy.assign(static_cast<std::size_t>(slice->cluster->size()), 0.0);
   return slice;
 }

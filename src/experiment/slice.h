@@ -156,7 +156,7 @@ SiteInputs make_site_inputs(const SimulationConfig& config);
 /// object its domains touch — think-time model, cluster, fault injector,
 /// dispatcher, alarm registry, autoscaler, DNS scheduler, estimator, name
 /// servers, client caches and pooled clients. The serial Site is one slice
-/// owning every domain; ShardedSite runs one slice per shard.
+/// owning every domain; a domain-sharded Site runs one slice per shard.
 ///
 /// Member order is lifetime order: the client pool holds references into
 /// the dispatcher, think model and name servers, which hold references
@@ -181,7 +181,7 @@ struct Slice {
   std::vector<std::unique_ptr<dnscache::NameServer>> name_servers;
   std::vector<std::unique_ptr<dnscache::ClientCache>> client_caches;
   std::unique_ptr<workload::ClientPool> clients;
-  /// Per-server cumulative busy time at the previous sharded barrier.
+  /// Per-server cumulative busy time at the previous monitor tick.
   std::vector<double> prev_busy;
 };
 

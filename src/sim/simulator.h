@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 #include "sim/event_queue.h"
@@ -52,6 +53,11 @@ class Simulator {
   /// Runs until the queue is exhausted.
   std::uint64_t run();
 
+  /// Called from inside an event: the running run_until()/run() returns
+  /// once that event completes, leaving now() at its time. Pending events
+  /// stay queued for the next call. No effect outside a run.
+  void stop() { limit_ = -std::numeric_limits<SimTime>::infinity(); }
+
   /// Total events dispatched since construction.
   std::uint64_t events_dispatched() const { return dispatched_; }
 
@@ -69,8 +75,13 @@ class Simulator {
   void reserve(std::size_t n) { queue_.reserve(n); }
 
  private:
+  /// Dispatches every event at or before `end` (until stop()).
+  std::uint64_t dispatch(SimTime end);
+
   EventQueue queue_;
   SimTime now_ = 0.0;
+  /// The running call's horizon; stop() lowers it below every event time.
+  SimTime limit_ = 0.0;
   std::uint64_t dispatched_ = 0;
 };
 

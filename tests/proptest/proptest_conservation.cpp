@@ -7,7 +7,6 @@
 
 #include <string>
 
-#include "experiment/sharded_site.h"
 #include "experiment/site.h"
 #include "invariants.h"
 #include "proptest.h"
@@ -37,7 +36,7 @@ TEST(ConservationProperty, RandomizedConfigs) {
 
 // The same laws across the domain-sharded path (DESIGN.md §16): the
 // generated config reruns with the domains partitioned over a random
-// shard count, and the checker additionally proves the partition covers
+// shard count, and the checker also proves the partition covers
 // every domain exactly once and per-shard sums equal the aggregate.
 TEST(ConservationProperty, RandomizedShardedConfigs) {
   for_each_case("proptest_conservation_sharded", 40, [](PropertyCase& pc) {
@@ -51,11 +50,11 @@ TEST(ConservationProperty, RandomizedShardedConfigs) {
     cfg.trace_enabled = false;
     cfg.shard_domains = true;
     cfg.shard_count = static_cast<int>(pc.rng.uniform_int(1, 6));
-    experiment::ShardedSite site(cfg);
+    experiment::Site site(cfg);
     const experiment::RunResult r = site.run();
     ASSERT_GT(r.total_pages, 0u);
     ASSERT_GT(r.authoritative_queries, 0u);
-    proptest::check_sharded_run_conservation(site, r);
+    proptest::check_run_conservation(site, r);
   });
 }
 

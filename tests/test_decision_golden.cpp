@@ -17,7 +17,6 @@
 #include <string>
 
 #include "experiment/config.h"
-#include "experiment/sharded_site.h"
 #include "experiment/site.h"
 
 namespace adattl {
@@ -78,7 +77,7 @@ std::uint64_t sharded_digest(const std::string& policy) {
   experiment::SimulationConfig c = base_config(policy);
   c.shard_domains = true;
   c.shard_count = 3;
-  experiment::ShardedSite site(c);
+  experiment::Site site(c);
   return digest_result(site.run());
 }
 
@@ -89,20 +88,23 @@ struct Golden {
 };
 
 // Captured 2026-08-08 from commit c88e709 (pre-DecisionContext main) with
-// the harness mirrored above. DAL and MRL sharing a sharded digest is the
-// captured truth: under the sharded split both degenerate to the same
-// decision stream at this scale.
+// the harness mirrored above. The sharded column was re-captured when the
+// sharded mode took the serial run's counted tick event: each of the 3
+// slices now counts its 82 ticks, so events_dispatched rose by exactly 246
+// and every other RunResult field stayed bit-identical. DAL and MRL
+// sharing a sharded digest is the captured truth: under the sharded split
+// both degenerate to the same decision stream at this scale.
 constexpr Golden kGolden[] = {
-    {"RR", 0x94d275d762874389ULL, 0xe5aeac6ab492e203ULL},
-    {"RR2", 0x112ea85c011b9504ULL, 0x2d072cd065eb55e2ULL},
-    {"RR3", 0x7833fe211573b952ULL, 0xbe7c075de47e2bf3ULL},
-    {"WRR", 0x0c2b9a25e91a178aULL, 0x8ebd5e408211d2e4ULL},
-    {"PRR-TTL/2", 0xa1ea8e1e0a010e8fULL, 0xf9af38bb9907e6b3ULL},
-    {"PRR2-TTL/K", 0xf94596fc079a6605ULL, 0x9c969908b92f8600ULL},
-    {"DAL", 0x58a8b14ad58803eeULL, 0x7646f6dfc1ea627dULL},
-    {"MRL", 0x854accd64fd2e01fULL, 0x7646f6dfc1ea627dULL},
-    {"DRR2-TTL/S_K", 0x403c52815996a3f1ULL, 0x852f1659882a9fe7ULL},
-    {"GEO-TTL/K", 0x314ea3d84ce4c846ULL, 0xd9abf84fa4a69627ULL},
+    {"RR", 0x94d275d762874389ULL, 0xa5ef55a90fcc230aULL},
+    {"RR2", 0x112ea85c011b9504ULL, 0x25504e28351c6518ULL},
+    {"RR3", 0x7833fe211573b952ULL, 0x644a8f83dd4ac388ULL},
+    {"WRR", 0x0c2b9a25e91a178aULL, 0x986f6a703fa0982dULL},
+    {"PRR-TTL/2", 0xa1ea8e1e0a010e8fULL, 0x9d2e9387fd48da52ULL},
+    {"PRR2-TTL/K", 0xf94596fc079a6605ULL, 0xb411b27c622eeb91ULL},
+    {"DAL", 0x58a8b14ad58803eeULL, 0x35c0bb087f0893b0ULL},
+    {"MRL", 0x854accd64fd2e01fULL, 0x35c0bb087f0893b0ULL},
+    {"DRR2-TTL/S_K", 0x403c52815996a3f1ULL, 0x586721c04e468841ULL},
+    {"GEO-TTL/K", 0x314ea3d84ce4c846ULL, 0x7d907704252bd796ULL},
 };
 
 class DecisionGolden : public ::testing::TestWithParam<Golden> {};

@@ -51,12 +51,12 @@ int windows_to_reconverge(const SimulationConfig& cfg, double closure) {
   const double pre_share = hot / total;
   const double post_share = kSpikeFactor * hot / (total + (kSpikeFactor - 1.0) * hot);
 
-  site.simulator().run_until(kSpikeAt);
+  site.run_until(kSpikeAt);
   const double window_sec =
       cfg.monitor_interval_sec * cfg.estimator_collect_every_ticks;
   const double tol = (1.0 - closure) * (post_share - pre_share);
   for (int k = 1; k <= kMaxWindows; ++k) {
-    site.simulator().run_until(kSpikeAt + k * window_sec);
+    site.run_until(kSpikeAt + k * window_sec);
     if (std::abs(site.domain_model().share(kHotDomain) - post_share) <= tol) {
       return k;
     }

@@ -1,8 +1,7 @@
 // Domain-sharded run mode: determinism (bit-identity across repeats and
-// across worker counts), shard layout, conservation laws summed over the
-// shards, the scale knob, and the validation fences between Site and
-// ShardedSite.
-#include "experiment/sharded_site.h"
+// across worker counts), slice layout, conservation laws summed over the
+// slices, the scale knob, and the validation fence on redirection.
+#include "experiment/site.h"
 
 #include <gtest/gtest.h>
 
@@ -52,17 +51,17 @@ void expect_bit_identical(const RunResult& a, const RunResult& b) {
 }
 
 TEST(ShardedSite, RepeatedRunsAreBitIdentical) {
-  ShardedSite a(sharded_config());
-  ShardedSite b(sharded_config());
+  Site a(sharded_config());
+  Site b(sharded_config());
   expect_bit_identical(a.run(), b.run());
 }
 
 TEST(ShardedSite, WorkerCountDoesNotChangeResults) {
-  // The executor only decides which thread advances which shard; the
-  // barrier merge is single-threaded and fixed-order, so 1 worker and 4
+  // The executor only decides which thread advances which slice; the
+  // tick merge is single-threaded and fixed-order, so 1 worker and 4
   // workers must produce the same bytes.
-  ShardedSite serial(sharded_config());
-  ShardedSite parallel(sharded_config());
+  Site serial(sharded_config());
+  Site parallel(sharded_config());
   ParallelExecutor one(1);
   ParallelExecutor four(4);
   expect_bit_identical(serial.run(one), parallel.run(four));
@@ -71,7 +70,7 @@ TEST(ShardedSite, WorkerCountDoesNotChangeResults) {
 TEST(ShardedSite, ShardsPartitionDomainsRoundRobin) {
   SimulationConfig cfg = sharded_config();
   cfg.shard_count = 3;
-  ShardedSite site(cfg);
+  Site site(cfg);
   ASSERT_EQ(site.shard_count(), 3);
   std::vector<int> seen(static_cast<std::size_t>(cfg.num_domains), 0);
   for (int s = 0; s < site.shard_count(); ++s) {
@@ -86,14 +85,14 @@ TEST(ShardedSite, ShardsPartitionDomainsRoundRobin) {
 TEST(ShardedSite, ShardCountClampsToDomains) {
   SimulationConfig cfg = sharded_config();
   cfg.shard_count = 500;  // far more than the 20 domains
-  ShardedSite site(cfg);
+  Site site(cfg);
   EXPECT_EQ(site.shard_count(), cfg.num_domains);
 }
 
 TEST(ShardedSite, ConservationLawsHoldAcrossShards) {
-  ShardedSite site(sharded_config());
+  Site site(sharded_config());
   const RunResult r = site.run();
-  proptest::check_sharded_run_conservation(site, r);
+  proptest::check_run_conservation(site, r);
   EXPECT_GT(r.total_pages, 0u);
   EXPECT_GT(r.total_hits, 0u);
 }
@@ -108,9 +107,9 @@ TEST(ShardedSite, ConservationHoldsWithFaultsAndGeo) {
   crash.duration_sec = 300.0;
   crash.server = 0;
   cfg.faults.crashes.push_back(crash);
-  ShardedSite site(cfg);
+  Site site(cfg);
   const RunResult r = site.run();
-  proptest::check_sharded_run_conservation(site, r);
+  proptest::check_run_conservation(site, r);
   EXPECT_GT(r.mean_network_rtt_sec, 0.0);
   EXPECT_GT(r.failed_requests, 0u);
 }
@@ -122,7 +121,7 @@ TEST(ShardedSite, TracksUnshardedRunWithinTolerance) {
   SimulationConfig serial_cfg = sharded_config("RR");
   serial_cfg.shard_domains = false;
   Site serial(serial_cfg);
-  ShardedSite sharded(sharded_config("RR"));
+  Site sharded(sharded_config("RR"));
   const RunResult rs = serial.run();
   const RunResult rp = sharded.run();
   EXPECT_NEAR(rp.aggregate_utilization, rs.aggregate_utilization, 0.05);
@@ -132,19 +131,9 @@ TEST(ShardedSite, TracksUnshardedRunWithinTolerance) {
 }
 
 TEST(ShardedSite, SingleUse) {
-  ShardedSite site(sharded_config());
+  Site site(sharded_config());
   (void)site.run();
   EXPECT_THROW((void)site.run(), std::logic_error);
-}
-
-TEST(ShardedSite, RequiresShardDomainsFlag) {
-  SimulationConfig cfg = sharded_config();
-  cfg.shard_domains = false;
-  EXPECT_THROW(ShardedSite{cfg}, std::invalid_argument);
-}
-
-TEST(ShardedSite, SiteRejectsShardedConfigs) {
-  EXPECT_THROW(Site{sharded_config()}, std::invalid_argument);
 }
 
 TEST(ShardedSite, ValidationRejectsShardingWithRedirection) {

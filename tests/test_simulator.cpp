@@ -92,5 +92,31 @@ TEST(Simulator, CountsDispatchedEvents) {
   EXPECT_EQ(s.events_dispatched(), 7u);
 }
 
+TEST(Simulator, StopEndsTheRunAfterTheCurrentEvent) {
+  Simulator s;
+  std::vector<int> order;
+  s.at(1.0, [&] { order.push_back(1); });
+  s.at(2.0, [&] {
+    order.push_back(2);
+    s.stop();
+  });
+  s.at(2.0, [&] { order.push_back(3); });
+  EXPECT_EQ(s.run_until(10.0), 2u);
+  EXPECT_DOUBLE_EQ(s.now(), 2.0);  // left at the stopping event, not the horizon
+  EXPECT_EQ(s.pending(), 1u);
+  EXPECT_EQ(s.run_until(10.0), 1u);  // resumes with the same-time event
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_DOUBLE_EQ(s.now(), 10.0);
+  EXPECT_EQ(s.events_dispatched(), 3u);
+}
+
+TEST(Simulator, StopOutsideARunHasNoEffect) {
+  Simulator s;
+  s.stop();
+  s.at(1.0, [] {});
+  EXPECT_EQ(s.run_until(5.0), 1u);
+  EXPECT_DOUBLE_EQ(s.now(), 5.0);
+}
+
 }  // namespace
 }  // namespace adattl::sim

@@ -9,11 +9,14 @@
 // error and the online estimator. The serial cases also fold the event
 // trace (CSV export) when tracing is on.
 //
-// The digests were captured while Site and ShardedSite still wired their
-// object graphs separately, so they pin the shared slice builder
-// (experiment/slice.h) to the old behaviour. A changed digest
-// is a behavioural change to the simulation: justify it and re-capture,
-// never adjust the test silently.
+// The serial digests were captured while the serial and sharded modes
+// still ran through separate classes, so they pin the one Site class and
+// its slices (experiment/slice.h) to the old behaviour. The sharded
+// digests were re-captured when the sharded mode took the serial run's
+// counted tick event (each slice now counts 150 ticks in
+// events_dispatched), and OneShard became the one-slice run. A changed
+// digest is a behavioural change to the simulation: justify it and
+// re-capture, never adjust the test silently.
 
 #include <gtest/gtest.h>
 
@@ -23,7 +26,6 @@
 #include <string>
 
 #include "experiment/config.h"
-#include "experiment/sharded_site.h"
 #include "experiment/site.h"
 
 namespace adattl {
@@ -213,7 +215,7 @@ std::uint64_t serial_digest(const std::string& name) {
 }
 
 std::uint64_t sharded_digest(const std::string& name) {
-  experiment::ShardedSite site(sharded_config(name));
+  experiment::Site site(sharded_config(name));
   return digest_result(site.run());
 }
 
@@ -225,9 +227,9 @@ constexpr Golden kSerial[] = {
 };
 
 constexpr Golden kSharded[] = {
-    {"OneShard", 0x07bf41bc71f49a44ULL},
-    {"ThreeShards", 0x0fd10e3793a7d876ULL},
-    {"FourShardsGeo", 0x5ca774b93cc06995ULL},
+    {"OneShard", 0x64693fac95ee9de6ULL},
+    {"ThreeShards", 0xc3baf769cfe5134eULL},
+    {"FourShardsGeo", 0x16d722407146915bULL},
 };
 
 class SerialSiteGolden : public ::testing::TestWithParam<Golden> {};
@@ -243,6 +245,15 @@ TEST_P(ShardedSiteGolden, WholeResultIsBitIdentical) {
   const Golden& g = GetParam();
   const std::uint64_t got = sharded_digest(g.name);
   EXPECT_EQ(got, g.digest) << g.name << " digest 0x" << std::hex << got;
+}
+
+// shard_domains with one shard is the one-slice run: same stream, same
+// tick, same bytes as the serial run of the same config.
+TEST(OneSliceSite, OneShardDigestEqualsTheSerialRun) {
+  experiment::SimulationConfig serial = sharded_config("OneShard");
+  serial.shard_domains = false;
+  experiment::Site site(serial);
+  EXPECT_EQ(sharded_digest("OneShard"), digest_result(site.run()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Configs, SerialSiteGolden, ::testing::ValuesIn(kSerial),

@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "experiment/runner.h"
+#include "obs/event_tracer.h"
 
 namespace adattl::experiment {
 namespace {
@@ -185,6 +189,98 @@ TEST(SiteIntegration, SiteIsSingleUse) {
   Site site(short_config("RR"));
   site.run();
   EXPECT_THROW(site.run(), std::logic_error);
+}
+
+// ---- The monitor tick: readings the tracer records at every tick ----
+
+constexpr int kQuiet = 6;  // leaves the DNS pool at t = 0
+
+// A short traced site whose server kQuiet leaves the DNS pool at t = 0,
+// before any client resolves, so it serves only the pages a test hands it.
+SimulationConfig tick_config() {
+  SimulationConfig cfg = short_config("RR");
+  cfg.warmup_sec = 0.0;
+  cfg.duration_sec = 40.0;
+  cfg.trace_enabled = true;
+  cfg.faults.scale_events.push_back({0.0, kQuiet, false});
+  return cfg;
+}
+
+// Hands `hits` hits of work to server `s` in 10-hit pages.
+void submit_hits(Site& site, int s, double hits) {
+  for (int i = 0; i < static_cast<int>(hits / 10.0); ++i) {
+    site.cluster().server(s).submit_page(web::PageRequest{0, 10, nullptr});
+  }
+}
+
+// Server `s`'s utilization readings as (tick time, value), in tick order.
+std::vector<std::pair<double, double>> readings(Site& site, int s) {
+  std::vector<std::pair<double, double>> out;
+  for (const obs::TraceRecord& rec : site.event_tracer()->records()) {
+    if (rec.kind == obs::TraceKind::kUtilization && rec.a == s) {
+      out.emplace_back(rec.time, rec.value);
+    }
+  }
+  return out;
+}
+
+TEST(SiteTick, TicksFallOnTheIntervalGridIncludingTheHorizon) {
+  Site site(tick_config());
+  site.run();
+  std::vector<double> times;
+  for (const auto& [t, u] : readings(site, 0)) times.push_back(t);
+  EXPECT_EQ(times, (std::vector<double>{8, 16, 24, 32, 40}));
+}
+
+TEST(SiteTick, IdleServerReadsZero) {
+  Site site(tick_config());
+  site.run();
+  const auto quiet = readings(site, kQuiet);
+  ASSERT_EQ(quiet.size(), 5u);
+  for (const auto& [t, u] : quiet) EXPECT_EQ(u, 0.0) << "at " << t;
+}
+
+TEST(SiteTick, SaturatedServerReadsOne) {
+  Site site(tick_config());
+  // Far more work than the whole 40 s run can serve.
+  submit_hits(site, kQuiet, 100.0 * site.cluster().server(kQuiet).capacity());
+  site.run();
+  for (const auto& [t, u] : readings(site, kQuiet)) EXPECT_NEAR(u, 1.0, 1e-9) << "at " << t;
+}
+
+TEST(SiteTick, ReadingsArePerWindowNotCumulative) {
+  Site site(tick_config());
+  // About a third of the first window's capacity, then nothing.
+  submit_hits(site, kQuiet, 0.3 * 8.0 * site.cluster().server(kQuiet).capacity());
+  site.run_until(16.0);
+  const auto quiet = readings(site, kQuiet);
+  ASSERT_EQ(quiet.size(), 2u);
+  EXPECT_GT(quiet[0].second, 0.1);
+  EXPECT_EQ(quiet[1].second, 0.0);
+}
+
+TEST(SiteTick, QueueDepthsReachTheAlarms) {
+  SimulationConfig cfg = tick_config();
+  cfg.alarm_queue_threshold = 2;
+  Site site(cfg);
+  // A stalled server reads utilization 0; only its queue can alarm it.
+  site.cluster().server(kQuiet).set_paused(true);
+  submit_hits(site, kQuiet, 30.0);
+  site.run_until(7.9);
+  EXPECT_FALSE(site.alarms().is_alarmed(kQuiet));
+  site.run_until(8.0);
+  EXPECT_TRUE(site.alarms().is_alarmed(kQuiet));
+  EXPECT_EQ(site.alarms().last_queue_depth()[kQuiet], 3u);
+  EXPECT_EQ(site.alarms().last_utilization()[kQuiet], 0.0);
+}
+
+TEST(SiteTick, NonPositiveIntervalIsRejected) {
+  // A zero interval would never advance the tick; the config is refused.
+  for (double interval : {0.0, -8.0}) {
+    SimulationConfig cfg = tick_config();
+    cfg.monitor_interval_sec = interval;
+    EXPECT_THROW(Site{cfg}, std::invalid_argument) << interval;
+  }
 }
 
 TEST(RunnerTest, ReplicationsProduceDistinctRunsAndCis) {
