@@ -2,7 +2,9 @@
 // hot path of every simulation (two queue ops per page request).
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "sim/event_queue.h"
 #include "sim/random.h"
@@ -55,6 +57,65 @@ BENCHMARK(BM_SteadyStateChurn)->Arg(500)->Arg(5000)->Arg(100000)->Arg(1000000);
 
 void BM_SteadyStateChurnOutlier(benchmark::State& state) { churn(state, true); }
 BENCHMARK(BM_SteadyStateChurnOutlier)->Arg(5000)->Arg(100000)->Arg(1000000);
+
+// The client pool's shape at scale: every event is a {record table, index}
+// wake-up that reads and writes its client's 128-byte record and then
+// schedules the client's next wake-up, so each event's record is a cold
+// line once the table outgrows the cache. With kPrefetch the callable
+// defines the queue's prefetch hook, which starts that miss a few events
+// early; without it the miss is taken when the event runs.
+struct alignas(64) ClientRecord {
+  double fields[16];
+};
+static_assert(sizeof(ClientRecord) == 128);
+
+struct RecordTable {
+  std::vector<ClientRecord> recs;
+  std::uint32_t last = 0;  // index of the record touched last
+};
+
+template <bool kPrefetch>
+struct RecordWake {
+  RecordTable* table;
+  std::uint32_t i;
+  void operator()() const {
+    ClientRecord& r = table->recs[i];
+    r.fields[0] += 1.0;
+    r.fields[15] += r.fields[0];
+    table->last = i;
+  }
+  void prefetch() const
+    requires kPrefetch
+  {
+    const auto* p = reinterpret_cast<const char*>(&table->recs[i]);
+    __builtin_prefetch(p);
+    __builtin_prefetch(p + 64);
+  }
+};
+
+template <bool kPrefetch>
+void record_hold(benchmark::State& state) {
+  const auto resident = static_cast<std::uint32_t>(state.range(0));
+  RngStream rng(4);
+  RecordTable table{std::vector<ClientRecord>(resident), 0};
+  EventQueue q;
+  q.reserve(resident);
+  for (std::uint32_t i = 0; i < resident; ++i) {
+    q.schedule(rng.uniform(0.0, 30.0), RecordWake<kPrefetch>{&table, i});
+  }
+  for (auto _ : state) {
+    auto [t, cb] = q.pop();
+    cb();
+    q.schedule(t + rng.exponential(15.0), RecordWake<kPrefetch>{&table, table.last});
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
+void BM_RecordHold(benchmark::State& state) { record_hold<false>(state); }
+BENCHMARK(BM_RecordHold)->Arg(5000)->Arg(100000)->Arg(1000000);
+
+void BM_RecordHoldPrefetch(benchmark::State& state) { record_hold<true>(state); }
+BENCHMARK(BM_RecordHoldPrefetch)->Arg(5000)->Arg(100000)->Arg(1000000);
 
 void BM_CancelHeavy(benchmark::State& state) {
   // TTL-expiry style workloads cancel many events before they fire.

@@ -32,7 +32,7 @@ std::uint32_t EventQueue::acquire_slot() {
     free_slots_.pop_back();
     return s;
   }
-  assert(slots_.size() < kFarList && "slot index would collide with list tags");
+  assert(slots_.size() < kFree && "slot index would collide with link markers");
   slots_.emplace_back();
   return static_cast<std::uint32_t>(slots_.size() - 1);
 }
@@ -40,8 +40,7 @@ std::uint32_t EventQueue::acquire_slot() {
 void EventQueue::release_slot(std::uint32_t slot) {
   Slot& s = slots_[slot];
   s.cb.reset();
-  s.pos = kFreePos;
-  if (++s.gen == 0) s.gen = 1;  // generation 0 is reserved for "never valid"
+  s.next = kFree;
   free_slots_.push_back(slot);
 }
 
@@ -52,7 +51,9 @@ EventHandle EventQueue::schedule(SimTime at, Callback cb) {
   s.cb = std::move(cb);
   s.time = at;
   s.seq = next_seq_++;
-  const EventHandle handle{(static_cast<std::uint64_t>(slot) << 32) | s.gen};
+  // slot + 1 keeps every handle non-zero.
+  const EventHandle handle{((static_cast<std::uint64_t>(slot) + 1) << 32) |
+                           static_cast<std::uint32_t>(s.seq)};
   if (size_++ == 0) {
     // Empty queue: gather events in the far list until the next pop, so
     // the next epoch is sized from all of them rather than the first.
@@ -66,17 +67,18 @@ EventHandle EventQueue::schedule(SimTime at, Callback cb) {
 }
 
 bool EventQueue::cancel(EventHandle h) {
-  if (h.id == 0) return false;
-  const auto slot = static_cast<std::uint32_t>(h.id >> 32);
-  const auto gen = static_cast<std::uint32_t>(h.id);
-  if (slot >= slots_.size()) return false;
-  const std::uint32_t pos = slots_[slot].pos;
-  // A released slot bumped its generation, so a stale handle mismatches
-  // even after the slot was recycled for a newer event.
-  if (slots_[slot].gen != gen || pos == kFreePos) return false;
-  const bool in_heap = pos != kInBucket && pos != kInFar;
+  const std::uint64_t key = h.id >> 32;
+  if (key == 0 || key > slots_.size()) return false;
+  const auto slot = static_cast<std::uint32_t>(key - 1);
+  const Slot& s = slots_[slot];
+  // A recycled slot holds a later event with another seq, so a stale
+  // handle mismatches.
+  if (s.next == kFree || static_cast<std::uint32_t>(s.seq) != static_cast<std::uint32_t>(h.id)) {
+    return false;
+  }
+  const bool in_heap = s.next == kInHeap;
   if (in_heap) {
-    remove_at(pos);
+    remove_at(s.prev);
   } else {
     unlink(slot);
   }
@@ -98,7 +100,11 @@ std::pair<SimTime, EventQueue::Callback> EventQueue::pop() {
   Callback cb = std::move(slots_[top.slot].cb);
   release_slot(top.slot);
   remove_at(0);
-  if (--size_ != 0 && heap_.empty()) refill();
+  if (--size_ != 0) {
+    if (heap_.empty()) refill();
+    // Start the next event's cache misses while this one runs.
+    slots_[heap_.front().slot].cb.prefetch();
+  }
   return {top.time, std::move(cb)};
 }
 
@@ -125,24 +131,23 @@ void EventQueue::link(std::uint32_t slot, std::uint32_t list) {
   if (head != kNil) slots_[head].prev = slot;
   head = slot;
   if (list == kFarList) {
-    s.pos = kInFar;
+    s.next |= kFarBit;
     ++far_count_;
     far_sum_ += s.time;
     if (s.time < far_min_) far_min_ = s.time;
-  } else {
-    s.pos = kInBucket;
   }
 }
 
 void EventQueue::unlink(std::uint32_t slot) {
   const Slot& s = slots_[slot];
-  if (s.next != kNil) slots_[s.next].prev = s.prev;
+  const std::uint32_t next = s.next & ~kFarBit;
+  if (next != kNil) slots_[next].prev = s.prev;
   if (s.prev & kHeadTag) {
-    head_of(s.prev & ~kHeadTag) = s.next;
+    head_of(s.prev & ~kHeadTag) = next;
   } else {
-    slots_[s.prev].next = s.next;
+    slots_[s.prev].next = s.next;  // same list, so the same kFarBit
   }
-  if (s.pos == kInFar) {
+  if (s.next & kFarBit) {
     if (--far_count_ == 0) {
       take_far();
     } else {
@@ -169,11 +174,11 @@ void EventQueue::for_each_far(std::uint32_t head, std::size_t count, F&& f) cons
     // chase the list one dependent cache miss at a time.
     const auto n = static_cast<std::uint32_t>(slots_.size());
     for (std::uint32_t s = 0; s < n; ++s) {
-      if (slots_[s].pos == kInFar) f(s);
+      if (slots_[s].next & kFarBit) f(s);
     }
   } else {
     for (std::uint32_t s = head; s != kNil;) {
-      const std::uint32_t next = slots_[s].next;
+      const std::uint32_t next = slots_[s].next & ~kFarBit;
       f(s);
       s = next;
     }
@@ -199,13 +204,16 @@ void EventQueue::refill() {
       buckets_[next_bucket_++] = kNil;
       if (s == kNil) continue;
       open_limit_ = static_cast<double>(next_bucket_);
-      // The next bucket usually opens a few pops from now: start its
-      // first slot's cache miss early.
-      if (next_bucket_ < buckets_.size() && buckets_[next_bucket_] != kNil) {
-        __builtin_prefetch(&slots_[buckets_[next_bucket_]].time);
+      // The next buckets open a few pops from now: start their first
+      // slots' cache misses early.
+      const std::size_t ahead = std::min(buckets_.size(), next_bucket_ + kPrefetchBuckets);
+      for (std::size_t b = next_bucket_; b < ahead; ++b) {
+        if (buckets_[b] != kNil) __builtin_prefetch(&slots_[buckets_[b]]);
       }
       while (s != kNil) {
-        const std::uint32_t next = slots_[s].next;
+        const Slot& slot = slots_[s];
+        const std::uint32_t next = slot.next;
+        slot.cb.prefetch();
         heap_push(s);
         s = next;
       }
@@ -259,7 +267,8 @@ void EventQueue::start_epoch() {
 // ---- Open-bucket heap ----
 
 void EventQueue::heap_push(std::uint32_t slot) {
-  const Slot& s = slots_[slot];
+  Slot& s = slots_[slot];
+  s.next = kInHeap;
   const HeapItem item{s.time, s.seq, slot};
   heap_.push_back(item);
   sift_up_hole(heap_.size() - 1, item);
@@ -290,11 +299,11 @@ void EventQueue::sift_up_hole(std::size_t hole, const HeapItem& item) {
     const std::size_t parent = parent_of(hole);
     if (!later(heap_[parent], item)) break;
     heap_[hole] = heap_[parent];
-    slots_[heap_[hole].slot].pos = static_cast<std::uint32_t>(hole);
+    slots_[heap_[hole].slot].prev = static_cast<std::uint32_t>(hole);
     hole = parent;
   }
   heap_[hole] = item;
-  slots_[item.slot].pos = static_cast<std::uint32_t>(hole);
+  slots_[item.slot].prev = static_cast<std::uint32_t>(hole);
 }
 
 void EventQueue::sift_down_hole(std::size_t hole, const HeapItem& item) {
@@ -309,11 +318,11 @@ void EventQueue::sift_down_hole(std::size_t hole, const HeapItem& item) {
     }
     if (!later(item, heap_[best])) break;
     heap_[hole] = heap_[best];
-    slots_[heap_[hole].slot].pos = static_cast<std::uint32_t>(hole);
+    slots_[heap_[hole].slot].prev = static_cast<std::uint32_t>(hole);
     hole = best;
   }
   heap_[hole] = item;
-  slots_[item.slot].pos = static_cast<std::uint32_t>(hole);
+  slots_[item.slot].prev = static_cast<std::uint32_t>(hole);
 }
 
 }  // namespace adattl::sim

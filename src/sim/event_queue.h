@@ -12,10 +12,11 @@ namespace adattl::sim {
 
 /// Opaque handle to a scheduled event, usable to cancel it.
 ///
-/// A handle encodes (slot, generation): slots are recycled through a free
-/// list once their event fires or is cancelled, and every recycle bumps the
-/// slot's generation, so a stale handle (for an event that already fired or
-/// was cancelled) never aliases a newer event and is safely ignored by
+/// A handle encodes (slot + 1, low 32 bits of the event's seq): slots are
+/// recycled through a free list once their event fires or is cancelled,
+/// and every event gets a fresh seq, so a stale handle (for an event that
+/// already fired or was cancelled) matches a newer event in its slot only
+/// if 2^32 schedules separate the two — it is otherwise ignored by
 /// cancel().
 struct EventHandle {
   std::uint64_t id = 0;
@@ -64,7 +65,11 @@ struct EventHandle {
 /// Callbacks live in a slot table recycled through a free list, so memory
 /// is bounded by the maximum number of *live* events; callbacks are SBO
 /// `InlineCallback`s, so scheduling a kernel-sized capture performs zero
-/// heap allocations once the vectors reach reserve()d capacity.
+/// heap allocations once the vectors reach reserve()d capacity. A slot is
+/// one 64-byte cache line: key, links and callback are fetched together.
+/// The queue calls a callback's prefetch hook when its bucket opens and
+/// again just before the event ahead of it runs, so the data the callback
+/// will touch is on its way while earlier events still run.
 ///
 /// cancel() removes the event eagerly — an O(1) unlink from a bucket or
 /// the far list, an O(log n) removal from the heap — so the queue only
@@ -115,27 +120,30 @@ class EventQueue {
     std::uint32_t slot;  // index into slots_
   };
 
-  struct Slot {
-    Callback cb;
+  // One cache line. While the slot is in a bucket or the far list, prev
+  // and next are the list links: a list's first slot has
+  // prev == kHeadTag | list (list = bucket index or kFarList), and every
+  // far-list slot carries kFarBit in next. While it is in the heap, prev
+  // is its heap index and next == kInHeap; a free slot has next == kFree.
+  struct alignas(64) Slot {
     SimTime time = 0.0;
-    std::uint64_t seq = 0;
-    std::uint32_t gen = 1;         // bumped on every release; 0 is never used
-    std::uint32_t pos = kFreePos;  // heap index, kInBucket, kInFar or kFreePos
-    // List links while in a bucket or the far list. A list's first slot has
-    // prev == kHeadTag | list, where list is a bucket index or kFarList.
+    std::uint64_t seq = 0;  // tie-breaker; its low word is the handle's check
     std::uint32_t prev = kNil;
-    std::uint32_t next = kNil;
+    std::uint32_t next = kFree;
+    Callback cb;
   };
-  static_assert(sizeof(Slot) <= 128, "keep a slot within 128 bytes");
+  static_assert(sizeof(Slot) == 64 && alignof(Slot) == 64, "a slot is one cache line");
 
-  static constexpr std::uint32_t kFreePos = static_cast<std::uint32_t>(-1);
-  static constexpr std::uint32_t kInBucket = kFreePos - 1;
-  static constexpr std::uint32_t kInFar = kFreePos - 2;
-  static constexpr std::uint32_t kNil = static_cast<std::uint32_t>(-1);
+  static constexpr std::uint32_t kNil = 0x7fffffffu;  // end of a list
+  static constexpr std::uint32_t kInHeap = kNil - 1;
+  static constexpr std::uint32_t kFree = kNil - 2;
+  static constexpr std::uint32_t kFarBit = 0x80000000u;
   static constexpr std::uint32_t kHeadTag = 0x80000000u;
-  static constexpr std::uint32_t kFarList = kHeadTag - 1;
+  static constexpr std::uint32_t kFarList = kNil;
   // Events per bucket when an epoch starts.
   static constexpr std::size_t kEventsPerBucket = 2;
+  // Buckets past the one being opened whose head slots refill() prefetches.
+  static constexpr std::size_t kPrefetchBuckets = 4;
 
   // Heap ordering: earliest time first, then earliest seq.
   static bool later(const HeapItem& a, const HeapItem& b) {

@@ -11,27 +11,30 @@ namespace adattl::sim {
 /// Small-buffer-optimized, move-only `void()` callable — the event kernel's
 /// replacement for `std::function<void()>`.
 ///
-/// Every callback the simulation core schedules (client think-time
-/// continuations, server completions, monitor ticks, TTL expirations,
-/// redirected page deliveries) fits in the inline buffer, so steady-state
-/// event scheduling performs **zero heap allocations**. The buffer is sized
-/// for the largest kernel capture — the redirecting dispatcher's
-/// `[this, ServerId, PageRequest]` lambda — and kernel call sites pin that
-/// invariant with `assert_inline()` static asserts. Oversized *user*
-/// callbacks still work: they fall back to a heap box, they just are not
-/// allocation-free.
+/// Every callback the simulation core schedules (client wake-ups, server
+/// completions, monitor ticks, TTL expirations, redirected page
+/// deliveries) fits in the inline buffer, so steady-state event scheduling
+/// performs **zero heap allocations**. The buffer is sized so that an
+/// InlineCallback (buffer + ops pointer, 40 bytes) and the event queue's
+/// 24-byte key and links fill exactly one 64-byte cache line; kernel call
+/// sites pin their captures to it with `assert_inline()` static asserts.
+/// Oversized *user* callbacks still work: they fall back to a heap box,
+/// they just are not allocation-free.
+///
+/// A callable may also define `void prefetch() const`: a hint that starts
+/// the cache misses its call will take. The event queue calls it through
+/// prefetch() a few events before the callback runs; callables without it
+/// cost one null check.
 ///
 /// Moves are destructive relocations (move-construct + destroy source);
-/// trivially copyable captures relocate via `memcpy`, which is what the
-/// event heap's sift loops rely on for cheap entry motion.
+/// trivially copyable captures relocate via `memcpy`.
 class InlineCallback {
  public:
-  /// Inline capture budget in bytes. 88 = sizeof the redirecting
-  /// dispatcher's capture (`this` + ServerId + PageRequest with its
-  /// std::function completion and failure callbacks), the largest closure
-  /// the kernel schedules.
-  static constexpr std::size_t kInlineSize = 88;
-  static constexpr std::size_t kInlineAlign = alignof(std::max_align_t);
+  /// Inline capture budget in bytes: 32 = the largest closures the kernel
+  /// schedules — the redirecting dispatcher's `[server, PageRequest]` and
+  /// the MRL expiry, rate-shift and trace-point captures.
+  static constexpr std::size_t kInlineSize = 32;
+  static constexpr std::size_t kInlineAlign = 8;
 
   /// True if a callable of type F is stored inline (no heap allocation).
   template <typename F>
@@ -94,6 +97,11 @@ class InlineCallback {
   /// Invokes the held callable. Precondition: non-empty.
   void operator()() { ops_->invoke(storage_); }
 
+  /// Calls the held callable's `prefetch()`, if its type defines one.
+  void prefetch() const noexcept {
+    if (ops_ && ops_->prefetch) ops_->prefetch(storage_);
+  }
+
   explicit operator bool() const noexcept { return ops_ != nullptr; }
 
  private:
@@ -101,6 +109,7 @@ class InlineCallback {
     void (*invoke)(void*);
     void (*relocate)(void* dst, void* src) noexcept;  // move + destroy src
     void (*destroy)(void*) noexcept;
+    void (*prefetch)(const void*) noexcept;  // null unless D::prefetch() exists
   };
 
   template <typename D, bool Inline>
@@ -130,11 +139,27 @@ class InlineCallback {
         delete *static_cast<D**>(p);
       }
     }
+    static void prefetch(const void* p) noexcept {
+      if constexpr (Inline) {
+        static_cast<const D*>(p)->prefetch();
+      } else {
+        (*static_cast<const D* const*>(p))->prefetch();
+      }
+    }
   };
 
   template <typename D, bool Inline>
-  static constexpr Ops kOps{&OpsImpl<D, Inline>::invoke, &OpsImpl<D, Inline>::relocate,
-                            &OpsImpl<D, Inline>::destroy};
+  static constexpr Ops make_ops() {
+    Ops ops{&OpsImpl<D, Inline>::invoke, &OpsImpl<D, Inline>::relocate,
+            &OpsImpl<D, Inline>::destroy, nullptr};
+    if constexpr (requires(const D& d) { d.prefetch(); }) {
+      ops.prefetch = &OpsImpl<D, Inline>::prefetch;
+    }
+    return ops;
+  }
+
+  template <typename D, bool Inline>
+  static constexpr Ops kOps = make_ops<D, Inline>();
 
   alignas(kInlineAlign) unsigned char storage_[kInlineSize];
   const Ops* ops_ = nullptr;

@@ -25,20 +25,22 @@ class Simulator {
   SimTime now() const { return now_; }
 
   /// Schedules `cb` to run at absolute time `at`; throws std::invalid_argument
-  /// if `at` lies in the past.
+  /// if `at` lies in the past or is NaN (+inf is allowed: it never fires
+  /// before run() drains the queue).
   EventHandle at(SimTime at, EventQueue::Callback cb) {
-    if (at < now_) throw std::invalid_argument("Simulator::at: time in the past");
+    if (!(at >= now_)) throw std::invalid_argument("Simulator::at: time in the past or NaN");
     return queue_.schedule(at, std::move(cb));
   }
 
-  /// Schedules `cb` to run `delay` seconds from now; negative delays throw.
+  /// Schedules `cb` to run `delay` seconds from now; negative and NaN
+  /// delays throw.
   ///
   /// This is the kernel's dominant scheduling pattern (think times, service
   /// completions, RTT legs), so it validates the delay sign directly:
   /// `now_ + delay >= now_` holds for any delay >= 0 under IEEE rounding,
   /// which skips the redundant absolute past-time comparison in at().
   EventHandle after(SimTime delay, EventQueue::Callback cb) {
-    if (delay < 0.0) throw std::invalid_argument("Simulator::after: negative delay");
+    if (!(delay >= 0.0)) throw std::invalid_argument("Simulator::after: negative or NaN delay");
     return queue_.schedule(now_ + delay, std::move(cb));
   }
 

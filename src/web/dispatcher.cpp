@@ -49,17 +49,18 @@ void RedirectingDispatcher::dispatch(ServerId target, PageRequest request) {
       ++redirects_;
       // One extra hop; never redirected again (the alternative queues it
       // whatever its state — no ping-pong).
-      // Largest capture the kernel schedules: this + ServerId + PageRequest.
-      // InlineCallback::kInlineSize is sized for it; the assert keeps it so.
+      // One of the largest captures the kernel schedules: server + PageRequest,
+      // 32 bytes. InlineCallback::kInlineSize is sized for it; the assert
+      // keeps it so.
       sim_.after(redirect_delay_sec_,
-                 sim::assert_inline([this, alternative, req = std::move(request)]() mutable {
-                   cluster_.server(alternative).submit_page(std::move(req));
+                 sim::assert_inline([server = &cluster_.server(alternative), request] {
+                   server->submit_page(request);
                  }));
       return;
     }
   }
   ++direct_;
-  cluster_.server(target).submit_page(std::move(request));
+  cluster_.server(target).submit_page(request);
 }
 
 }  // namespace adattl::web

@@ -26,7 +26,7 @@ class DirectDispatcher : public PageDispatcher {
   explicit DirectDispatcher(Cluster& cluster) : cluster_(cluster) {}
 
   void dispatch(ServerId target, PageRequest request) override {
-    cluster_.server(target).submit_page(std::move(request));
+    cluster_.server(target).submit_page(request);
   }
 
  private:

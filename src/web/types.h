@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 namespace adattl::web {
 
@@ -13,24 +12,31 @@ using ServerId = int;
 /// popularity (domain 0 is the busiest under Zipf rank 1).
 using DomainId = int;
 
+/// Receives the outcome of the pages it submits. A page reports exactly one
+/// outcome, with the tag it was submitted with. Implementations must not
+/// resubmit synchronously; schedule a retry through the simulator.
+class PageSink {
+ public:
+  /// The last hit of the page has been served.
+  virtual void page_completed(std::uint32_t tag) = 0;
+  /// The page is lost: the target server rejected the submission
+  /// (crashed) or dropped the page mid-service (crash while queued or in
+  /// flight).
+  virtual void page_failed(std::uint32_t tag) = 0;
+
+ protected:
+  ~PageSink() = default;
+};
+
 /// One page request: a burst of `hits` HTTP hits (the HTML page plus its
-/// embedded objects) served back-to-back by one server.
+/// embedded objects) served back-to-back by one server. Its outcome goes
+/// to `sink` with `tag`; a null sink makes it silent (the server-side
+/// counters still record it). 24 bytes, trivially copyable.
 struct PageRequest {
   DomainId domain = 0;
   int hits = 1;
-  /// Invoked when the last hit of the page has been served.
-  std::function<void()> on_complete;
-  /// Invoked instead of on_complete when the page is lost: the target
-  /// server rejects the submission (crashed) or drops the page mid-service
-  /// (crash while queued or in flight). Null = the loss is silent (the
-  /// server-side counters still record it). Callbacks must not resubmit
-  /// synchronously; schedule a retry through the simulator.
-  std::function<void()> on_fail;
-
-  PageRequest() = default;
-  PageRequest(DomainId d, int h, std::function<void()> complete = nullptr,
-              std::function<void()> fail = nullptr)
-      : domain(d), hits(h), on_complete(std::move(complete)), on_fail(std::move(fail)) {}
+  PageSink* sink = nullptr;
+  std::uint32_t tag = 0;
 };
 
 }  // namespace adattl::web

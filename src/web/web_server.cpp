@@ -30,7 +30,7 @@ void WebServer::submit_page(PageRequest req) {
     ++rejected_pages_;
     obs_failed_.inc();
     if (tracer_) tracer_->record(sim_.now(), obs::TraceKind::kRequestFailed, req.domain, id_);
-    if (req.on_fail) req.on_fail();
+    if (req.sink) req.sink->page_failed(req.tag);
     return;
   }
 
@@ -64,26 +64,20 @@ void WebServer::set_crashed(bool crashed) {
     return;
   }
 
-  // Collect victims first so every callback sees fully consistent state.
-  std::vector<std::function<void()>> failed;
-  std::uint64_t crash_pages = 0;
-  std::uint64_t crash_hits = 0;
+  // Take the victims out first so every sink sees fully consistent state:
+  // the in-flight page, then the queue in order.
+  std::deque<Job> victims;
+  victims.swap(queue_);
   if (busy_) {
     sim_.cancel(service_event_);
     // The seconds already burned on the dropped page were real work.
     closed_busy_time_ += sim_.now() - service_start_;
     busy_ = false;
-    ++crash_pages;
-    crash_hits += static_cast<std::uint64_t>(current_.req.hits);
-    if (current_.req.on_fail) failed.push_back(std::move(current_.req.on_fail));
-    current_ = Job{};
+    victims.push_front(current_);
   }
-  for (Job& job : queue_) {
-    ++crash_pages;
-    crash_hits += static_cast<std::uint64_t>(job.req.hits);
-    if (job.req.on_fail) failed.push_back(std::move(job.req.on_fail));
-  }
-  queue_.clear();
+  const std::uint64_t crash_pages = victims.size();
+  std::uint64_t crash_hits = 0;
+  for (const Job& job : victims) crash_hits += static_cast<std::uint64_t>(job.req.hits);
 
   lost_pages_ += crash_pages;
   lost_hits_ += crash_hits;
@@ -97,7 +91,9 @@ void WebServer::set_crashed(bool crashed) {
                     static_cast<std::int32_t>(crash_pages),
                     static_cast<double>(crash_hits));
   }
-  for (auto& cb : failed) cb();
+  for (const Job& job : victims) {
+    if (job.req.sink) job.req.sink->page_failed(job.req.tag);
+  }
 }
 
 void WebServer::set_capacity_factor(double factor) {
@@ -107,7 +103,7 @@ void WebServer::set_capacity_factor(double factor) {
 }
 
 void WebServer::start_next() {
-  current_ = std::move(queue_.front());
+  current_ = queue_.front();
   queue_.pop_front();
   busy_ = true;
   service_start_ = sim_.now();
@@ -130,12 +126,12 @@ void WebServer::finish_current() {
   obs_hits_.inc(static_cast<std::uint64_t>(current_.req.hits));
   obs_busy_sec_.set(closed_busy_time_);
 
-  // Detach the completion callback before dequeueing the next job so a
-  // callback that immediately submits another page sees consistent state.
-  auto done = std::move(current_.req.on_complete);
+  // Detach the finished request before dequeueing the next job so a sink
+  // that immediately submits another page sees consistent state.
+  const PageRequest done = current_.req;
   if (!queue_.empty() && !paused_) start_next();
   update_queue_gauge();
-  if (done) done();
+  if (done.sink) done.sink->page_completed(done.tag);
 }
 
 double WebServer::cumulative_busy_time(sim::SimTime now) const {

@@ -43,10 +43,10 @@ class WebServer {
   ServerId id() const { return id_; }
   double capacity() const { return capacity_; }
 
-  /// Enqueues a page; its completion callback fires when all hits are
+  /// Enqueues a page; its sink's page_completed() fires when all hits are
   /// served. While crashed the page is rejected instead: the lost-work
-  /// counters grow, `on_fail` fires (if set), and nothing — not even the
-  /// per-domain hit accounting — records the page as demand.
+  /// counters grow, page_failed() fires (if a sink is set), and nothing —
+  /// not even the per-domain hit accounting — records the page as demand.
   void submit_page(PageRequest req);
 
   /// Pauses/resumes service (outage injection). A paused server keeps
@@ -60,8 +60,9 @@ class WebServer {
 
   /// Crashes/recovers the server. Crashing cancels the in-flight service
   /// (its partial busy time is kept — the work really was performed),
-  /// drops the whole queue, and fires each victim's `on_fail` after the
-  /// server state is consistent. Recovery restarts service only when new
+  /// drops the whole queue, and reports each victim's page_failed() — the
+  /// in-flight page first, then the queue in order — after the server
+  /// state is consistent. Recovery restarts service only when new
   /// pages arrive. Idempotent in both directions.
   void set_crashed(bool crashed);
   bool crashed() const { return crashed_; }

@@ -89,7 +89,7 @@ std::size_t ClientPool::add(dnscache::Resolver& resolver, sim::RngStream rng) {
 
 void ClientPool::start(std::size_t i, double initial_delay) {
   const auto idx = static_cast<std::uint32_t>(i);
-  sim_.after(initial_delay, sim::assert_inline([this, idx] { begin_session(idx); }));
+  sim_.after(initial_delay, sim::assert_inline(Wake<&ClientPool::begin_session>{this, idx}));
 }
 
 ClientPool::Totals ClientPool::totals() const {
@@ -111,7 +111,7 @@ void ClientPool::begin_session(std::uint32_t i) {
     // DNS outage against a cold NS cache: nothing to stale-serve. The
     // session has not started — try again shortly.
     ++c.resolution_failures;
-    sim_.after(retry_delay_sec_, sim::assert_inline([this, i] { begin_session(i); }));
+    sim_.after(retry_delay_sec_, sim::assert_inline(Wake<&ClientPool::begin_session>{this, i}));
     return;
   }
   ++c.sessions;
@@ -125,13 +125,13 @@ void ClientPool::begin_session(std::uint32_t i) {
 void ClientPool::dispatch_request(std::uint32_t i) {
   Rec& c = recs_[i];
   // One geo lookup per dispatch: the mapping cannot change between the
-  // request and reply legs, so on_server_complete() reuses the cached value.
+  // request and reply legs, so page_completed() reuses the cached value.
   c.page_rtt = geo_ ? geo_->rtt(c.resolver->domain(), c.mapped_server) : 0.0;
   if (c.page_rtt > 0.0) {
     // Request leg only. The reply leg is charged when (if) the server
     // completes the page — a rejected or crashed attempt never took it.
     c.network_time += c.page_rtt / 2.0;
-    sim_.after(c.page_rtt / 2.0, sim::assert_inline([this, i] { arrive(i); }));
+    sim_.after(c.page_rtt / 2.0, sim::assert_inline(Wake<&ClientPool::arrive>{this, i}));
   } else {
     arrive(i);
   }
@@ -145,12 +145,10 @@ void ClientPool::arrive(std::uint32_t i) {
   }
   c.page_start = sim_.now();
   dispatcher_.dispatch(c.mapped_server,
-                       web::PageRequest{c.resolver->domain(), c.pending_hits,
-                                        [this, i] { on_server_complete(i); },
-                                        [this, i] { on_page_failed(i); }});
+                       web::PageRequest{c.resolver->domain(), c.pending_hits, this, i});
 }
 
-void ClientPool::on_server_complete(std::uint32_t i) {
+void ClientPool::page_completed(std::uint32_t i) {
   Rec& c = recs_[i];
   if (c.page_rtt > 0.0) c.network_time += c.page_rtt / 2.0;  // the reply leg home
   // Client-perceived response: request flight + server time + reply
@@ -170,27 +168,27 @@ void ClientPool::on_server_complete(std::uint32_t i) {
     if (c.page_rtt > 0.0) {
       c.network_time += c.page_rtt / 2.0;  // next page's request leg
       sim_.after(c.page_rtt / 2.0 + think + c.page_rtt / 2.0,
-                 sim::assert_inline([this, i] { arrive(i); }));
+                 sim::assert_inline(Wake<&ClientPool::arrive>{this, i}));
     } else {
-      sim_.after(think, sim::assert_inline([this, i] { arrive(i); }));
+      sim_.after(think, sim::assert_inline(Wake<&ClientPool::arrive>{this, i}));
     }
   } else {
     // Session over: reply flight + think, then re-resolve (the next
     // session's mapping may differ, so it cannot coalesce further).
     if (c.page_rtt > 0.0) {
       sim_.after(c.page_rtt / 2.0 + think,
-                 sim::assert_inline([this, i] { begin_session(i); }));
+                 sim::assert_inline(Wake<&ClientPool::begin_session>{this, i}));
     } else {
-      sim_.after(think, sim::assert_inline([this, i] { begin_session(i); }));
+      sim_.after(think, sim::assert_inline(Wake<&ClientPool::begin_session>{this, i}));
     }
   }
 }
 
-void ClientPool::on_page_failed(std::uint32_t i) {
+void ClientPool::page_failed(std::uint32_t i) {
   // Called from inside the server's crash/reject path — never resubmit
   // synchronously; the retry is a fresh simulator event.
   ++recs_[i].pages_failed;
-  sim_.after(retry_delay_sec_, sim::assert_inline([this, i] { retry_page(i); }));
+  sim_.after(retry_delay_sec_, sim::assert_inline(Wake<&ClientPool::retry_page>{this, i}));
 }
 
 void ClientPool::retry_page(std::uint32_t i) {
@@ -202,7 +200,7 @@ void ClientPool::retry_page(std::uint32_t i) {
   c.mapped_server = c.resolver->resolve();
   if (c.mapped_server < 0) {
     ++c.resolution_failures;
-    sim_.after(retry_delay_sec_, sim::assert_inline([this, i] { retry_page(i); }));
+    sim_.after(retry_delay_sec_, sim::assert_inline(Wake<&ClientPool::retry_page>{this, i}));
     return;
   }
   dispatch_request(i);

@@ -38,12 +38,14 @@ struct SessionProfile {
 };
 
 /// The entire client population of one simulation as a single pooled
-/// object: one contiguous vector of ~112-byte records (per-client RNG
+/// object: one contiguous vector of 120-byte records (per-client RNG
 /// state, session counters, the page in flight) instead of a heap
-/// allocation per client. At a million clients that is one ~110 MB
-/// allocation, iterated cache-linearly for end-of-run aggregation, and
-/// every simulator callback captures just {pool, index} — small enough for
-/// both the kernel's InlineCallback SBO and std::function's.
+/// allocation per client. At a million clients that is one ~115 MB
+/// allocation, iterated cache-linearly for end-of-run aggregation. Every
+/// kernel event a client schedules is a 16-byte {pool, index} Wake whose
+/// prefetch hook pulls the record into cache before the event runs, and
+/// every page it submits names the pool as its web::PageSink with the
+/// client index as the tag, so no page builds a std::function.
 ///
 /// Lifecycle per client (paper §4.1): a session opens with a single
 /// address resolution through the domain's name server, then issues a
@@ -70,7 +72,7 @@ struct SessionProfile {
 /// which really does fly to the (possibly dead) server — and the reply leg
 /// (rtt/2) only when the server completes the page. A page that fails at
 /// the server never charges the reply it never received.
-class ClientPool {
+class ClientPool final : public web::PageSink {
  public:
   /// `geo` (optional) adds network round-trip time to every page: the
   /// request travels rtt/2 before reaching the server and the reply
@@ -161,12 +163,32 @@ class ClientPool {
     bool count_page_on_arrive = false;
   };
 
+  /// A client's next kernel event: runs `Step` for client `i`. The event
+  /// queue calls prefetch() shortly before the event runs, so the
+  /// client's record is in cache by then.
+  template <void (ClientPool::*Step)(std::uint32_t)>
+  struct Wake {
+    ClientPool* pool;
+    std::uint32_t i;
+    void operator()() const { (pool->*Step)(i); }
+    void prefetch() const {
+      // A record of at most 128 bytes spans at most three cache lines.
+      const auto* p = reinterpret_cast<const char*>(&pool->recs_[i]);
+      __builtin_prefetch(p);
+      __builtin_prefetch(p + 64);
+      __builtin_prefetch(p + sizeof(Rec) - 1);
+    }
+  };
+  static_assert(sizeof(Rec) <= 128);
+
   void begin_session(std::uint32_t i);
   void dispatch_request(std::uint32_t i);
   void arrive(std::uint32_t i);
-  void on_server_complete(std::uint32_t i);
-  void on_page_failed(std::uint32_t i);
   void retry_page(std::uint32_t i);
+
+  // web::PageSink, tagged with the client index.
+  void page_completed(std::uint32_t i) override;
+  void page_failed(std::uint32_t i) override;
 
   sim::Simulator& sim_;
   web::PageDispatcher& dispatcher_;

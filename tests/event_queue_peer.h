@@ -13,16 +13,26 @@ struct EventQueueTestPeer {
 
   /// Tier of a pending event; kNone for a fired, cancelled or null handle.
   static Tier tier(const EventQueue& q, EventHandle h) {
-    const auto slot = static_cast<std::uint32_t>(h.id >> 32);
-    if (h.id == 0 || slot >= q.slots_.size()) return Tier::kNone;
-    const EventQueue::Slot& s = q.slots_[slot];
-    if (s.gen != static_cast<std::uint32_t>(h.id) || s.pos == EventQueue::kFreePos) {
+    const std::uint64_t key = h.id >> 32;
+    if (key == 0 || key > q.slots_.size()) return Tier::kNone;
+    const EventQueue::Slot& s = q.slots_[key - 1];
+    if (s.next == EventQueue::kFree ||
+        static_cast<std::uint32_t>(s.seq) != static_cast<std::uint32_t>(h.id)) {
       return Tier::kNone;
     }
-    if (s.pos == EventQueue::kInBucket) return Tier::kBucket;
-    if (s.pos == EventQueue::kInFar) return Tier::kFar;
-    return Tier::kHeap;
+    if (s.next == EventQueue::kInHeap) return Tier::kHeap;
+    return (s.next & EventQueue::kFarBit) ? Tier::kFar : Tier::kBucket;
   }
+
+  /// Slot-table index a handle names (live or stale).
+  static std::uint32_t slot(EventHandle h) { return static_cast<std::uint32_t>((h.id >> 32) - 1); }
+
+  static std::uintptr_t slot_table_address(const EventQueue& q) {
+    return reinterpret_cast<std::uintptr_t>(q.slots_.data());
+  }
+
+  static constexpr std::size_t kSlotSize = sizeof(EventQueue::Slot);
+  static constexpr std::size_t kSlotAlign = alignof(EventQueue::Slot);
 
   static std::uint64_t epochs(const EventQueue& q) { return q.epochs_; }
 };

@@ -5,6 +5,7 @@
 
 #include "experiment/cli.h"
 #include "experiment/site.h"
+#include "recording_sink.h"
 #include "sim/random.h"
 
 namespace adattl {
@@ -70,6 +71,18 @@ TEST(RedirectingDispatcher, OverloadedTargetRedirectsToLeastLoaded) {
   EXPECT_GE(landed, 1u);
   // Nothing extra reached the overloaded server.
   EXPECT_EQ(rig.cluster.server(0).lifetime_domain_hits()[0], 150u);
+}
+
+TEST(RedirectingDispatcher, RedirectedPageKeepsItsTag) {
+  Rig rig;
+  web::RedirectingDispatcher d(rig.simulator, rig.cluster, 1.0, 0.1, 10.0);
+  for (int i = 0; i < 15; ++i) rig.cluster.server(0).submit_page({0, 10, nullptr});  // 1.5 s
+  web::RecordingSink sink;
+  d.dispatch(0, web::PageRequest{0, 10, &sink, 42});
+  ASSERT_EQ(d.redirects(), 1u);
+  rig.simulator.run();
+  EXPECT_EQ(sink.completed, std::vector<std::uint32_t>{42});
+  EXPECT_TRUE(sink.failed.empty());
 }
 
 TEST(RedirectingDispatcher, NoPingPongWhenEveryoneIsLoaded) {

@@ -24,18 +24,13 @@ constexpr double kSpikeFactor = 8.0;
 // isolates estimator dynamics.
 constexpr int kMaxWindows = 80;  // 6000 + 80 * 32 = 8560 < 9000
 
-// Locates scenarios/flash_crowd_outage.scenario from typical test cwds
-// (build/, build/tests/, repo root). Empty string when unreachable.
-std::string find_scenario() {
-  for (const char* rel : {"scenarios/flash_crowd_outage.scenario",
-                          "../scenarios/flash_crowd_outage.scenario",
-                          "../../scenarios/flash_crowd_outage.scenario"}) {
-    std::FILE* f = std::fopen(rel, "r");
-    if (!f) continue;
-    std::fclose(f);
-    return rel;
-  }
-  return "";
+const std::string kScenario = ADATTL_SCENARIO_DIR "/flash_crowd_outage.scenario";
+
+// True when the shipped scenario file can be opened.
+bool scenario_readable() {
+  std::FILE* f = std::fopen(kScenario.c_str(), "r");
+  if (f) std::fclose(f);
+  return f != nullptr;
 }
 
 // Steps one Site through the spike in collection-window increments and
@@ -65,8 +60,8 @@ int windows_to_reconverge(const SimulationConfig& cfg, double closure) {
 }
 
 TEST(EstimatorAblation, PredictiveEstimatorsReconvergeFasterOnFlashCrowd) {
-  const std::string scenario = find_scenario();
-  if (scenario.empty()) GTEST_SKIP() << "scenario files not reachable from test cwd";
+  ASSERT_TRUE(scenario_readable()) << kScenario;
+  const std::string& scenario = kScenario;
 
   const auto config_for = [&scenario](const std::string& kind) {
     return ParamRegistry::instance()
@@ -111,8 +106,8 @@ TEST(EstimatorAblation, PredictiveEstimatorsReconvergeFasterOnFlashCrowd) {
 }
 
 TEST(EstimatorAblation, ScenarioRunsEndToEndUnderEachEstimator) {
-  const std::string scenario = find_scenario();
-  if (scenario.empty()) GTEST_SKIP() << "scenario files not reachable from test cwd";
+  ASSERT_TRUE(scenario_readable()) << kScenario;
+  const std::string& scenario = kScenario;
 
   // A short full run (warm-up + measurement + outage machinery) per kind:
   // the ablation above never crosses t = 9000, so this is the smoke proof

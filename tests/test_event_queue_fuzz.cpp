@@ -183,10 +183,10 @@ class SortedVectorOracle {
 
 class EventQueueRecycleFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
-// Exercises the free-list/generation handle semantics: a small resident
+// Exercises the free-list/seq-check handle semantics: a small resident
 // set with a high pop rate forces constant slot recycling, every handle
 // ever issued is retained and re-cancelled later (stale cancels must hit
-// the generation check, not a newer event in the recycled slot), and
+// the seq check, not a newer event in the recycled slot), and
 // integer timestamps force FIFO tie-breaks against the naive oracle.
 TEST_P(EventQueueRecycleFuzz, HandleReuseMatchesNaiveOracle) {
   RngStream rng(GetParam());
@@ -376,8 +376,8 @@ TEST(EventQueueHandles, StaleHandleAfterSlotRecycleIsIgnored) {
   EventQueue q;
   const EventHandle h1 = q.schedule(1.0, [] {});
   q.pop();  // frees h1's slot
-  // The next schedule recycles the slot; the generation tag must keep the
-  // stale h1 from cancelling the new event.
+  // The next schedule recycles the slot; the new event's seq must keep
+  // the stale h1 from cancelling it.
   const EventHandle h2 = q.schedule(2.0, [] {});
   EXPECT_FALSE(h1 == h2);
   EXPECT_FALSE(q.cancel(h1));
@@ -401,6 +401,66 @@ TEST(EventQueueHandles, StaleHandleSurvivesManyRecycleRounds) {
     }
   }
   EXPECT_TRUE(q.empty());
+}
+
+// The handle's check word is the low half of the event's seq, so a slot
+// that is reused over and over issues a new handle every time, and the old
+// ones stay dead whichever tier the slot's new event sits in.
+TEST(EventQueueHandles, ReusedSlotsIssueFreshHandlesInEveryTier) {
+  EventQueue q;
+  RngStream rng(5);
+  std::vector<EventHandle> dead;
+  std::set<std::uint64_t> ids;
+  std::map<std::uint32_t, int> uses;  // schedules per slot
+  std::set<Tier> tiers;
+  for (int round = 0; round < 300; ++round) {
+    const int n = 2 + round % 40;
+    std::vector<EventHandle> live;
+    int popped = -1;
+    for (int k = 0; k < n; ++k) {
+      // One far outlier per round; the rest spread over heap and buckets.
+      const double t = k == 0 ? round + 1e6 : round + rng.uniform(0.0, 100.0);
+      live.push_back(q.schedule(t, [&popped, k] { popped = k; }));
+      EXPECT_TRUE(ids.insert(live.back().id).second) << "handle reissued in round " << round;
+      ++uses[EventQueueTestPeer::slot(live.back())];
+    }
+    auto [t, cb] = q.pop();  // opens an epoch
+    cb();
+    ASSERT_GE(popped, 0);
+    dead.push_back(live[static_cast<std::size_t>(popped)]);
+    live.erase(live.begin() + popped);
+    for (EventHandle h : live) tiers.insert(EventQueueTestPeer::tier(q, h));
+    for (EventHandle h : dead) ASSERT_FALSE(q.cancel(h)) << "stale cancel in round " << round;
+    for (EventHandle h : live) {
+      ASSERT_TRUE(q.cancel(h));
+      dead.push_back(h);
+    }
+    ASSERT_TRUE(q.empty());
+  }
+  int most_uses = 0;
+  for (const auto& [slot, n] : uses) most_uses = std::max(most_uses, n);
+  EXPECT_GE(most_uses, 100) << "slots were not recycled";
+  EXPECT_TRUE(tiers.count(Tier::kHeap));
+  EXPECT_TRUE(tiers.count(Tier::kBucket));
+  EXPECT_TRUE(tiers.count(Tier::kFar));
+}
+
+TEST(EventQueueHandles, ForgedHandlesAreIgnored) {
+  EventQueue q;
+  const EventHandle h = q.schedule(1.0, [] {});
+  EXPECT_FALSE(q.cancel(EventHandle{h.id & 0xffffffffu}));  // no slot part
+  EXPECT_FALSE(q.cancel(EventHandle{h.id + (1ull << 32)}));  // slot past the table
+  EXPECT_FALSE(q.cancel(EventHandle{h.id ^ 1u}));            // another seq in the slot
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_TRUE(q.cancel(h));
+}
+
+TEST(EventQueueLayout, SlotIsOneCacheLine) {
+  static_assert(EventQueueTestPeer::kSlotSize == 64 && EventQueueTestPeer::kSlotAlign == 64);
+  EventQueue q;
+  q.reserve(8);
+  for (int i = 0; i < 8; ++i) q.schedule(i, [] {});
+  EXPECT_EQ(EventQueueTestPeer::slot_table_address(q) % 64, 0u);
 }
 
 }  // namespace

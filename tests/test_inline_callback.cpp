@@ -182,6 +182,82 @@ TEST(InlineCallback, TriviallyCopyableCaptureRelocatesByMemcpy) {
   EXPECT_EQ(out, 42);
 }
 
+TEST(InlineCallback, BudgetFitsTheKernelCapturesInHalfACacheLine) {
+  // 32 bytes of capture + the ops pointer: with the event queue's 24-byte
+  // key and links, a slot is exactly one 64-byte line.
+  static_assert(InlineCallback::kInlineSize == 32);
+  static_assert(sizeof(InlineCallback) == 40);
+  // The largest kernel captures: a pointer plus a 24-byte payload (the
+  // redirect's PageRequest, a rate shift, a trace point).
+  struct Payload24 {
+    double a;
+    int b;
+    double c;
+  };
+  static_assert(sizeof(Payload24) == 24);
+  int* out = nullptr;
+  Payload24 p{};
+  auto at_budget = [out, p] { (void)out, (void)p; };
+  static_assert(sizeof(at_budget) == 32);
+  static_assert(InlineCallback::fits_inline<decltype(at_budget)>());
+  auto over_budget = [out, p, q = p] { (void)out, (void)p, (void)q; };
+  static_assert(!InlineCallback::fits_inline<decltype(over_budget)>());
+  // 16-byte alignment exceeds the 8-byte inline alignment: boxed.
+  struct alignas(16) Wide {
+    double v;
+  };
+  auto wide = [w = Wide{}] { (void)w; };
+  static_assert(!InlineCallback::fits_inline<decltype(wide)>());
+}
+
+/// Callable with a prefetch hook that counts hook calls and invocations.
+struct Prefetching {
+  int* prefetches;
+  int* calls;
+  void operator()() const { ++*calls; }
+  void prefetch() const { ++*prefetches; }
+};
+
+TEST(InlineCallback, PrefetchCallsTheHookOnlyWhereTheTypeDefinesIt) {
+  int prefetches = 0;
+  int calls = 0;
+  InlineCallback with(Prefetching{&prefetches, &calls});
+  with.prefetch();
+  with.prefetch();
+  EXPECT_EQ(prefetches, 2);
+  EXPECT_EQ(calls, 0) << "prefetch must not run the callable";
+  InlineCallback moved(std::move(with));
+  moved.prefetch();
+  moved();
+  EXPECT_EQ(prefetches, 3);
+  EXPECT_EQ(calls, 1);
+
+  // No hook: prefetch() is a no-op, for a lambda and for an empty callback.
+  int hits = 0;
+  InlineCallback without([&hits] { ++hits; });
+  without.prefetch();
+  EXPECT_EQ(hits, 0);
+  InlineCallback empty;
+  empty.prefetch();
+  EXPECT_EQ(prefetches, 3);
+}
+
+TEST(InlineCallback, PrefetchReachesABoxedCallable) {
+  struct BigPrefetching {
+    unsigned char pad[InlineCallback::kInlineSize];
+    Prefetching inner;
+    void operator()() const { inner(); }
+    void prefetch() const { inner.prefetch(); }
+  };
+  static_assert(!InlineCallback::fits_inline<BigPrefetching>());
+  int prefetches = 0;
+  int calls = 0;
+  InlineCallback cb(BigPrefetching{{}, {&prefetches, &calls}});
+  cb.prefetch();
+  EXPECT_EQ(prefetches, 1);
+  EXPECT_EQ(calls, 0);
+}
+
 TEST(InlineCallback, AssertInlinePassesThrough) {
   int hits = 0;
   InlineCallback cb(assert_inline([&hits] { ++hits; }));

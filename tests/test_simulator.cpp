@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 namespace adattl::sim {
@@ -35,6 +36,34 @@ TEST(Simulator, SchedulingInThePastThrows) {
   s.run();
   EXPECT_THROW(s.at(5.0, [] {}), std::invalid_argument);
   EXPECT_THROW(s.after(-1.0, [] {}), std::invalid_argument);
+}
+
+TEST(Simulator, NanTimesThrowAndScheduleNothing) {
+  Simulator s;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(s.at(nan, [] {}), std::invalid_argument);
+  EXPECT_THROW(s.after(nan, [] {}), std::invalid_argument);
+  EXPECT_EQ(s.pending(), 0u);
+  // Also after the clock has moved: NaN compares false both ways.
+  s.at(3.0, [] {});
+  s.run();
+  EXPECT_THROW(s.at(nan, [] {}), std::invalid_argument);
+  EXPECT_THROW(s.after(-nan, [] {}), std::invalid_argument);
+  EXPECT_EQ(s.pending(), 0u);
+}
+
+TEST(Simulator, InfiniteTimesAreLegalAndFireLast) {
+  Simulator s;
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<int> order;
+  s.after(inf, [&] { order.push_back(2); });
+  s.at(inf, [&] { order.push_back(3); });
+  s.at(1.0, [&] { order.push_back(1); });
+  EXPECT_EQ(s.run_until(1e300), 1u);  // +inf lies past every finite horizon
+  EXPECT_EQ(s.pending(), 2u);
+  EXPECT_EQ(s.run(), 2u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(s.now(), inf);
 }
 
 TEST(Simulator, RunUntilStopsAtHorizon) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "recording_sink.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
 
@@ -22,10 +23,11 @@ TEST_F(WebServerTest, RejectsBadConstruction) {
 
 TEST_F(WebServerTest, ServesAPageAndInvokesCompletion) {
   WebServer s(simulator, 0, 100.0, 3, rng.split());
-  bool done = false;
-  s.submit_page(PageRequest{1, 10, [&] { done = true; }});
+  RecordingSink sink;
+  s.submit_page(PageRequest{1, 10, &sink, 7});
   simulator.run();
-  EXPECT_TRUE(done);
+  EXPECT_EQ(sink.completed, std::vector<std::uint32_t>{7});  // its own tag, once
+  EXPECT_TRUE(sink.failed.empty());
   EXPECT_EQ(s.pages_served(), 1u);
   EXPECT_EQ(s.hits_served(), 10u);
 }
@@ -34,35 +36,32 @@ TEST_F(WebServerTest, ServiceTimeScalesWithHitsAndCapacity) {
   WebServer s(simulator, 0, 50.0, 1, rng.split());
   // Mean service of a 10-hit page at 50 hits/s is 0.2 s; with many pages
   // the average must converge (Erlang mean).
-  const int pages = 5000;
-  int completed = 0;
+  const std::size_t pages = 5000;
   double submit_time = 0.0;
   sim::RunningStat durations;
   // Submit sequentially: next page only after the previous completes, so
   // queueing never inflates the measured service time.
-  std::function<void()> submit = [&] {
-    if (completed == pages) return;
+  RecordingSink sink;
+  const auto submit = [&] {
     submit_time = simulator.now();
-    s.submit_page(PageRequest{0, 10, [&] {
-                                durations.add(simulator.now() - submit_time);
-                                ++completed;
-                                submit();
-                              }});
+    s.submit_page(PageRequest{0, 10, &sink});
+  };
+  sink.on_completed = [&](std::uint32_t) {
+    durations.add(simulator.now() - submit_time);
+    if (sink.completed.size() < pages) submit();
   };
   submit();
   simulator.run();
-  EXPECT_EQ(completed, pages);
+  EXPECT_EQ(sink.completed.size(), pages);
   EXPECT_NEAR(durations.mean(), 0.2, 0.01);
 }
 
 TEST_F(WebServerTest, FifoOrderPreserved) {
   WebServer s(simulator, 0, 100.0, 1, rng.split());
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    s.submit_page(PageRequest{0, 5, [&order, i] { order.push_back(i); }});
-  }
+  RecordingSink sink;
+  for (std::uint32_t i = 0; i < 5; ++i) s.submit_page(PageRequest{0, 5, &sink, i});
   simulator.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(sink.completed, (std::vector<std::uint32_t>{0, 1, 2, 3, 4}));
 }
 
 TEST_F(WebServerTest, BusyTimeAccountsQueueingCorrectly) {
@@ -163,37 +162,53 @@ TEST_F(WebServerTest, QueueDepthGaugeMatchesQueueLengthConvention) {
 
 TEST_F(WebServerTest, CrashDropsQueueAndCountsLostWork) {
   WebServer s(simulator, 0, 100.0, 1, rng.split());
-  int failed = 0;
-  for (int i = 0; i < 4; ++i) {
-    s.submit_page(PageRequest{0, 10, nullptr, [&] { ++failed; }});
-  }
+  RecordingSink sink;
+  for (std::uint32_t i = 0; i < 4; ++i) s.submit_page(PageRequest{0, 10, &sink, i});
   simulator.run_until(0.001);  // first page in flight, three queued
   s.set_crashed(true);
   EXPECT_TRUE(s.crashed());
-  EXPECT_EQ(failed, 4);  // every victim's on_fail fired
+  // Every victim failed: the in-flight page first, then the queue in order.
+  EXPECT_EQ(sink.failed, (std::vector<std::uint32_t>{0, 1, 2, 3}));
   EXPECT_EQ(s.lost_pages(), 4u);
   EXPECT_EQ(s.lost_hits(), 40u);  // in-flight page counted at full burst
   EXPECT_EQ(s.queue_length(), 0u);
   simulator.run();
   EXPECT_EQ(s.pages_served(), 0u);  // the cancelled service never completed
+  EXPECT_TRUE(sink.completed.empty());
+}
+
+TEST_F(WebServerTest, CrashReportsFailuresAfterStateIsConsistent) {
+  WebServer s(simulator, 0, 100.0, 1, rng.split());
+  RecordingSink sink;
+  std::vector<std::uint64_t> lost_seen;
+  sink.on_failed = [&](std::uint32_t) {
+    // Each report sees the finished crash: down, empty, every loss counted.
+    EXPECT_TRUE(s.crashed());
+    EXPECT_EQ(s.queue_length(), 0u);
+    lost_seen.push_back(s.lost_pages());
+  };
+  for (std::uint32_t tag = 10; tag < 13; ++tag) s.submit_page(PageRequest{0, 10, &sink, tag});
+  simulator.run_until(0.001);
+  s.set_crashed(true);
+  EXPECT_EQ(sink.failed, (std::vector<std::uint32_t>{10, 11, 12}));
+  EXPECT_EQ(lost_seen, (std::vector<std::uint64_t>{3, 3, 3}));
 }
 
 TEST_F(WebServerTest, CrashedServerRejectsSubmissions) {
   WebServer s(simulator, 0, 100.0, 1, rng.split());
   s.set_crashed(true);
-  int failed = 0;
-  s.submit_page(PageRequest{0, 10, nullptr, [&] { ++failed; }});
-  EXPECT_EQ(failed, 1);
+  RecordingSink sink;
+  s.submit_page(PageRequest{0, 10, &sink, 3});
+  EXPECT_EQ(sink.failed, std::vector<std::uint32_t>{3});
   EXPECT_EQ(s.rejected_pages(), 1u);
   EXPECT_EQ(s.queue_length(), 0u);
   // Rejected pages never enter demand accounting.
   EXPECT_EQ(s.lifetime_domain_hits()[0], 0u);
   // Recovery: the server accepts and serves again.
   s.set_crashed(false);
-  bool done = false;
-  s.submit_page(PageRequest{0, 10, [&] { done = true; }});
+  s.submit_page(PageRequest{0, 10, &sink, 4});
   simulator.run();
-  EXPECT_TRUE(done);
+  EXPECT_EQ(sink.completed, std::vector<std::uint32_t>{4});
   EXPECT_EQ(s.pages_served(), 1u);
 }
 
@@ -228,18 +243,17 @@ TEST_F(WebServerTest, CapacityFactorScalesNewServices) {
   s.set_capacity_factor(0.5);
   EXPECT_DOUBLE_EQ(s.effective_capacity(), 25.0);
   // At half capacity the mean service of a 10-hit page doubles to 0.4 s.
-  const int pages = 4000;
-  int completed = 0;
+  const std::size_t pages = 4000;
   double submit_time = 0.0;
   sim::RunningStat durations;
-  std::function<void()> submit = [&] {
-    if (completed == pages) return;
+  RecordingSink sink;
+  const auto submit = [&] {
     submit_time = simulator.now();
-    s.submit_page(PageRequest{0, 10, [&] {
-                                durations.add(simulator.now() - submit_time);
-                                ++completed;
-                                submit();
-                              }});
+    s.submit_page(PageRequest{0, 10, &sink});
+  };
+  sink.on_completed = [&](std::uint32_t) {
+    durations.add(simulator.now() - submit_time);
+    if (sink.completed.size() < pages) submit();
   };
   submit();
   simulator.run();
@@ -250,13 +264,13 @@ TEST_F(WebServerTest, CapacityFactorScalesNewServices) {
 
 TEST_F(WebServerTest, CompletionCallbackMaySubmitImmediately) {
   WebServer s(simulator, 0, 100.0, 1, rng.split());
-  int served = 0;
-  std::function<void()> resubmit = [&] {
-    if (++served < 10) s.submit_page(PageRequest{0, 5, resubmit});
+  RecordingSink sink;
+  sink.on_completed = [&](std::uint32_t tag) {
+    if (tag + 1 < 10) s.submit_page(PageRequest{0, 5, &sink, tag + 1});
   };
-  s.submit_page(PageRequest{0, 5, resubmit});
+  s.submit_page(PageRequest{0, 5, &sink, 0});
   simulator.run();
-  EXPECT_EQ(served, 10);
+  EXPECT_EQ(sink.completed.size(), 10u);
   EXPECT_EQ(s.pages_served(), 10u);
 }
 

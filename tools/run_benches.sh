@@ -24,8 +24,10 @@ fi
 BUILD_DIR="${1:-$([[ ${RELEASE} -eq 1 ]] && echo build-release || echo build)}"
 OUT="${2:-BENCH_kernel.json}"
 # BM_SteadyStateChurn runs 500..1M residents; BM_SteadyStateChurnOutlier
-# adds one event at t = 1e9 to the same hold model.
-FILTER='BM_SchedulePop|BM_SteadyStateChurn|BM_SteadyStateChurnOutlier|BM_CancelHeavy|BM_FullSite'
+# adds one event at t = 1e9 to the same hold model. BM_RecordHold and
+# BM_RecordHoldPrefetch are the hold model with a 128-byte record per
+# event, without and with the queue's prefetch hook.
+FILTER='BM_SchedulePop|BM_SteadyStateChurn|BM_SteadyStateChurnOutlier|BM_RecordHold|BM_CancelHeavy|BM_FullSite'
 
 if [[ ${RELEASE} -eq 1 ]]; then
   echo "configuring Release tree in ${BUILD_DIR} ..." >&2
@@ -41,6 +43,9 @@ fi
 # a baseline captured from a debug build can never masquerade as Release.
 BENCH_BUILD_TYPE="$(sed -n 's/^CMAKE_BUILD_TYPE:[^=]*=//p' "${BUILD_DIR}/CMakeCache.txt" 2>/dev/null || true)"
 export BENCH_BUILD_TYPE="${BENCH_BUILD_TYPE:-unspecified}"
+# The tree the numbers came from ("-dirty" when it has uncommitted changes).
+BENCH_GIT_SHA="$(git describe --always --dirty 2>/dev/null || true)"
+export BENCH_GIT_SHA="${BENCH_GIT_SHA:-unknown}"
 
 for target in micro_event_queue micro_simulation; do
   bin="${BUILD_DIR}/bench/${target}"
@@ -70,6 +75,7 @@ for path in raw_paths:
     context.setdefault("host_name", ctx.get("host_name"))
     context.setdefault("num_cpus", ctx.get("num_cpus"))
     context.setdefault("build_type", os.environ.get("BENCH_BUILD_TYPE", "unspecified"))
+    context.setdefault("git_sha", os.environ.get("BENCH_GIT_SHA", "unknown"))
     for b in dump.get("benchmarks", []):
         if b.get("run_type") == "aggregate":
             continue
@@ -78,8 +84,19 @@ for path in raw_paths:
             entry["items_per_second"] = b["items_per_second"]
         distilled[b["name"]] = entry
 
+# What the prefetch hook buys the record-touching hold model, per size.
+summary = {}
+for name, entry in distilled.items():
+    if name.startswith("BM_RecordHoldPrefetch/"):
+        plain = distilled.get(name.replace("BM_RecordHoldPrefetch", "BM_RecordHold"), {})
+        if plain.get("items_per_second") and entry.get("items_per_second"):
+            size = name.split("/")[1]
+            summary[f"record_hold_prefetch_speedup/{size}"] = (
+                entry["items_per_second"] / plain["items_per_second"])
+
 with open(out_path, "w") as f:
-    json.dump({"context": context, "benchmarks": distilled}, f, indent=2, sort_keys=True)
+    json.dump({"context": context, "benchmarks": distilled, "summary": summary}, f,
+              indent=2, sort_keys=True)
     f.write("\n")
 print(f"wrote {out_path} ({len(distilled)} benchmarks)")
 PY
@@ -111,6 +128,7 @@ dump["context"].update({
     "host_name": socket.gethostname(),
     "num_cpus": os.cpu_count(),
     "build_type": os.environ.get("BENCH_BUILD_TYPE", "unspecified"),
+    "git_sha": os.environ.get("BENCH_GIT_SHA", "unknown"),
 })
 if not (dump["summary"]["holt_reconverges_faster_than_ewma"]
         and dump["summary"]["ar_reconverges_faster_than_ewma"]):
@@ -150,6 +168,7 @@ dump["context"].update({
     "host_name": socket.gethostname(),
     "num_cpus": os.cpu_count(),
     "build_type": os.environ.get("BENCH_BUILD_TYPE", "unspecified"),
+    "git_sha": os.environ.get("BENCH_GIT_SHA", "unknown"),
 })
 s = dump["summary"]
 if not s["cost_dominates_geo_and_rr2"]:
@@ -215,7 +234,8 @@ with open(out_path, "w") as f:
     json.dump({"context": {"date": ctx.get("date"),
                            "host_name": ctx.get("host_name"),
                            "num_cpus": ctx.get("num_cpus"),
-                           "build_type": os.environ.get("BENCH_BUILD_TYPE", "unspecified")},
+                           "build_type": os.environ.get("BENCH_BUILD_TYPE", "unspecified"),
+                           "git_sha": os.environ.get("BENCH_GIT_SHA", "unknown")},
                "benchmarks": distilled,
                "summary": summary}, f, indent=2, sort_keys=True)
     f.write("\n")
@@ -264,7 +284,8 @@ with open(out_path, "w") as f:
     json.dump({"context": {"date": ctx.get("date"),
                            "host_name": ctx.get("host_name"),
                            "num_cpus": ctx.get("num_cpus"),
-                           "build_type": os.environ.get("BENCH_BUILD_TYPE", "unspecified")},
+                           "build_type": os.environ.get("BENCH_BUILD_TYPE", "unspecified"),
+                           "git_sha": os.environ.get("BENCH_GIT_SHA", "unknown")},
                "benchmarks": distilled,
                "summary": summary}, f, indent=2, sort_keys=True)
     f.write("\n")
@@ -367,7 +388,8 @@ with open(out_path, "w") as f:
     json.dump({"context": {"date": ctx.get("date"),
                            "host_name": ctx.get("host_name"),
                            "num_cpus": ctx.get("num_cpus"),
-                           "build_type": os.environ.get("BENCH_BUILD_TYPE", "unspecified")},
+                           "build_type": os.environ.get("BENCH_BUILD_TYPE", "unspecified"),
+                           "git_sha": os.environ.get("BENCH_GIT_SHA", "unknown")},
                "benchmarks": distilled,
                "summary": summary}, f, indent=2, sort_keys=True)
     f.write("\n")
@@ -541,7 +563,8 @@ with open(out_path, "w") as f:
                            "host_name": socket.gethostname(),
                            "num_cpus": os.cpu_count(),
                            "duration_sec_per_config": duration,
-                           "build_type": os.environ.get("BENCH_BUILD_TYPE", "unspecified")},
+                           "build_type": os.environ.get("BENCH_BUILD_TYPE", "unspecified"),
+                           "git_sha": os.environ.get("BENCH_GIT_SHA", "unknown")},
                "benchmarks": benchmarks,
                "microbench": microbench,
                "summary": summary}, f, indent=2, sort_keys=True)
